@@ -170,9 +170,11 @@ class Affine(MonotoneOp):
         m = 0.5 * (m + m.T)
         if np.min(np.linalg.eigvalsh(m)) < -1e-10 * scale:
             raise ValueError("affine operator matrix must be positive semidefinite")
+        m.flags.writeable = False
         self.matrix = m
         self.offset = as_vector(offset, m.shape[0])
         self.dim = m.shape[0]
+        self._separable = bool(np.count_nonzero(m - np.diag(np.diagonal(m))) == 0)
 
     def value_box(self, y):
         v = self.matrix @ as_vector(y, self.dim) + self.offset
@@ -186,7 +188,7 @@ class Affine(MonotoneOp):
 
     @property
     def separable(self):
-        return bool(np.count_nonzero(self.matrix - np.diag(np.diagonal(self.matrix))) == 0)
+        return self._separable
 
     def as_affine(self):
         return (self.matrix, self.offset)

@@ -4,37 +4,64 @@ Every catalog operator is the subdifferential of a convex potential G, so the
 protoresolvent point for w is the unique minimizer of
 h(y) = f(y) + lam G(y) - <w, y>.  Nested grid refinement of h gives a second,
 derivative-free route used to cross-check the production solvers.
+
+The grid is array-native: each refinement round lays out its per_axis**dim
+points as the rows of one (k, dim) array in itertools.product order, and the
+closed-form values of f and G below reduce over the last axis, so one numpy
+pass scores the whole round.  Neither the strategy table nor the LegendreFn
+methods are used.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
-from .numerics import pairing
+from .errors import EmptyOperatorValue
+from .legendre import CoshSum, PowerEuclidean, PowerP, QuadraticForm
 from .operators import (Affine, GradientOfConvex, MonotoneOp, NormalConeBox,
                         OperatorSum, Scaled, SubdiffAbs)
 
+# rows scored per numpy pass; a round with more grid points (dim >= 6 at the
+# default resolution) is scored in slices of this size to bound memory
+_ROWS_PER_PASS = 1 << 16
 
-def operator_potential(op: MonotoneOp, y) -> float:
-    """Convex G with A = dG; +inf outside the domain (normal cone case)."""
+
+def _quadratic(matrix, y):
+    """(1/2) <M y, y> for each row y."""
+    return 0.5 * np.sum((y @ matrix.T) * y, axis=-1)
+
+
+def legendre_value(f, y):
+    """Closed-form f at one row y or at each row of a (k, dim) array."""
+    y = np.asarray(y, dtype=float)
+    if isinstance(f, QuadraticForm):
+        return _quadratic(f.metric.matrix, y)
+    if isinstance(f, CoshSum):
+        return np.sum(np.cosh(y), axis=-1)
+    if isinstance(f, PowerEuclidean):
+        return np.sqrt(np.sum(y * y, axis=-1)) ** f.rho / f.rho
+    if isinstance(f, PowerP):
+        return (np.sum(np.abs(y) ** f.p, axis=-1) ** (1.0 / f.p)) ** f.rho / f.rho
+    raise TypeError(f"no closed-form value known for Legendre kind {f.kind!r}")
+
+
+def operator_potential(op: MonotoneOp, y):
+    """Convex G with A = dG at one row y or at each row; +inf outside the domain."""
     y = np.asarray(y, dtype=float)
     if isinstance(op, SubdiffAbs):
-        return op.weight * float(np.sum(np.abs(y - op.shift)))
+        return op.weight * np.sum(np.abs(y - op.shift), axis=-1)
     if isinstance(op, Affine):
-        return 0.5 * pairing(op.matrix @ y, y) + pairing(op.offset, y)
+        return _quadratic(op.matrix, y) + y @ op.offset
     if isinstance(op, NormalConeBox):
-        if np.any(y < op.lower) or np.any(y > op.upper):
-            return np.inf
-        return 0.0
+        outside = np.any((y < op.lower) | (y > op.upper), axis=-1)
+        return np.where(outside, np.inf, 0.0)[()]
     if isinstance(op, GradientOfConvex):
         d = y - op.shift
         if op.profile == "logcosh":
-            return op.weight * float(np.sum(np.log(np.cosh(d))))
+            return op.weight * np.sum(np.log(np.cosh(d)), axis=-1)
         if op.profile == "quartic":
-            return op.weight * float(np.sum(d ** 4)) / 4.0
-        return op.weight * float(np.dot(d, d)) ** 2 / 4.0
+            return op.weight * np.sum(d ** 4, axis=-1) / 4.0
+        return op.weight * np.sum(d * d, axis=-1) ** 2 / 4.0
     if isinstance(op, Scaled):
         return op.lam * operator_potential(op.inner, y)
     if isinstance(op, OperatorSum):
@@ -43,7 +70,12 @@ def operator_potential(op: MonotoneOp, y) -> float:
 
 
 def brute_force_protoresolvent(f, op, lam, w, span=None, points=81, rounds=8):
-    """Minimize h over nested grids; accuracy ~ span * (4/points)^rounds."""
+    """Minimize h over nested grids; accuracy ~ span * (4/points)^rounds.
+
+    Ties go to the first grid point in itertools.product order; points where
+    h is NaN or +inf never win, and a round without a finite point raises
+    EmptyOperatorValue.
+    """
     w = np.asarray(w, dtype=float)
     dim = f.dim
     if span is None:
@@ -51,17 +83,26 @@ def brute_force_protoresolvent(f, op, lam, w, span=None, points=81, rounds=8):
     center = np.zeros(dim)
     half = span
     per_axis = points if dim == 1 else max(9, int(round(points ** (1.0 / dim))))
+    shape = (per_axis,) * dim
+    size = per_axis ** dim
 
-    best = None
-    for _ in range(rounds):
-        axes = [np.linspace(center[i] - half, center[i] + half, per_axis) for i in range(dim)]
-        best_val, best_pt = np.inf, None
-        for combo in itertools.product(*axes):
-            y = np.asarray(combo)
-            val = f.value(y) + lam * operator_potential(op, y) - pairing(w, y)
-            if val < best_val:
-                best_val, best_pt = val, y
-        best = best_pt
+    for r in range(rounds):
+        axes = np.linspace(center - half, center + half, per_axis)  # column i: axis i
+        best_val, best = np.inf, None
+        for start in range(0, size, _ROWS_PER_PASS):
+            index = np.unravel_index(np.arange(start, min(start + _ROWS_PER_PASS, size)), shape)
+            rows = axes[np.stack(index, axis=-1), np.arange(dim)]
+            # points that overflow score inf or NaN; they are discarded, not reported
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = legendre_value(f, rows) + lam * operator_potential(op, rows) - rows @ w
+            vals[np.isnan(vals)] = np.inf
+            k = int(np.argmin(vals))
+            if vals[k] < best_val:
+                best_val, best = vals[k], rows[k]
+        if best is None:
+            raise EmptyOperatorValue(
+                f"brute force: no grid point of round {r} has a finite objective for "
+                f"operator {op.spec_string()} (grid half-width {half:g} around {center.tolist()})")
         half *= 4.0 / (per_axis - 1)
         center = best
-    return best
+    return center

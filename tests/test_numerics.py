@@ -3,8 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from proxlab.errors import DimensionMismatch, NotSpd
-from proxlab.numerics import (SpdMetric, Tolerances, as_vector, metric_norm, pairing,
-                              random_spd_matrix, spd_solve)
+from proxlab.numerics import (SpdMetric, Tolerances, as_vector, halton_points, metric_norm,
+                              pairing, random_spd_matrix, spd_solve)
 
 
 def test_pairing_values():
@@ -91,3 +91,10 @@ def test_tolerances_positive():
         Tolerances(membership=-1e-9)
     t = Tolerances()
     assert t.inner_residual == 1e-10 and t.membership == 1e-8 and t.zero_detect == 1e-8
+
+
+def test_halton_extension_keeps_low_dims():
+    # one prime per coordinate up to MAX_DIM; the first eight columns are unchanged
+    assert_allclose(halton_points(32, 64)[:, :8], halton_points(32, 8), rtol=0, atol=0)
+    with pytest.raises(DimensionMismatch):
+        halton_points(4, 65)

@@ -39,6 +39,25 @@ def test_enlargement_examples():
     assert v == pytest.approx(0.25, abs=1e-3)
 
 
+@pytest.mark.parametrize("dim", [9, 64])
+def test_enlargement_beyond_eight_dims(dim):
+    abs_d = SubdiffAbs(1.0, np.zeros(dim))
+    assert enlargement_residual(abs_d, 0.1, np.zeros(dim), np.zeros(dim)) == 0.0
+    # a candidate far outside A(0) = [-1, 1]^dim along the first axis is caught
+    xi = np.zeros(dim)
+    xi[0] = 100.0
+    assert enlargement_residual(abs_d, 0.1, np.zeros(dim), xi) > 0.0
+
+
+def test_affine_matrix_is_read_only():
+    # the cached separable flag cannot go stale
+    assert not Affine(np.array([[1.0, 0.5], [0.5, 1.0]]), np.zeros(2)).separable
+    op = Affine(np.diag([1.0, 2.0]), np.zeros(2))
+    assert op.separable
+    with pytest.raises(ValueError):
+        op.matrix[0, 1] = 1.0
+
+
 def test_enlargement_monotone_in_eps():
     abs1 = SubdiffAbs(1.0, np.zeros(1))
     vals = [enlargement_residual(abs1, e, [0.0], [1.4], witness_budget=512)

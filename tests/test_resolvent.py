@@ -3,12 +3,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import grid_argmin_1d
-from proxlab.errors import NoStrategy, StrongImplicitnessFailure
-from proxlab.legendre import CoshSum, PowerEuclidean, euclidean
+from proxlab import reference
+from proxlab.errors import EmptyOperatorValue, NoStrategy, StrongImplicitnessFailure
+from proxlab.legendre import CoshSum, PowerEuclidean, PowerP, QuadraticForm, euclidean
 from proxlab.numerics import SpdMetric
-from proxlab.operators import (Affine, GradientOfConvex, NormalConeBox, SubdiffAbs,
-                               identity_op)
-from proxlab.reference import brute_force_protoresolvent
+from proxlab.operators import (Affine, GradientOfConvex, NormalConeBox, OperatorSum,
+                               Scaled, SubdiffAbs, identity_op)
+from proxlab.reference import (brute_force_protoresolvent, legendre_value,
+                               operator_potential)
 from proxlab.resolvent import (InclusionInstance, holder_certify, ips_form,
                                protoresolvent, radius_search, solve_inclusion,
                                ss_form, verify_solution)
@@ -101,6 +103,59 @@ def test_two_strategies_agree_1d():
         y = protoresolvent(f, op, lam, w)
         ref = brute_force_protoresolvent(f, op, lam, w)
         assert np.linalg.norm(y - ref) <= 1e-6
+
+
+_DIAG_F = QuadraticForm(SpdMetric.diagonal([2.0, 3.0]))
+_DIAG_A = Affine(np.diag([1.0, 0.5]), np.array([0.4, -0.2]))
+
+
+@pytest.mark.parametrize("f, op, lam, w, expected", [
+    # soft threshold: sign(w) max(|w| - lam, 0)
+    (euclidean(2), SubdiffAbs(1.0, np.zeros(2)), 0.8, [2.5, -0.3], [1.7, 0.0]),
+    # projection onto the box: clamp
+    (euclidean(2), NormalConeBox(-1.0, 1.0, 2), 1.3, [3.0, -0.5], [1.0, -0.5]),
+    # linear solve (D + lam M) y = w - lam b
+    (_DIAG_F, _DIAG_A, 0.7, [1.0, -2.0],
+     np.linalg.solve(np.diag([2.0, 3.0]) + 0.7 * np.diag([1.0, 0.5]),
+                     np.array([1.0, -2.0]) - 0.7 * np.array([0.4, -0.2]))),
+])
+@pytest.mark.parametrize("rows_per_pass", [None, 7])
+def test_two_strategies_agree_2d_closed_forms(f, op, lam, w, expected, rows_per_pass, monkeypatch):
+    if rows_per_pass is not None:
+        # score each 81-point round in slices, as large grids are
+        monkeypatch.setattr(reference, "_ROWS_PER_PASS", rows_per_pass)
+    w = np.asarray(w)
+    ref = brute_force_protoresolvent(f, op, lam, w, rounds=30)
+    assert np.linalg.norm(ref - expected) <= 1e-6
+    assert np.linalg.norm(protoresolvent(f, op, lam, w) - expected) <= 1e-6
+
+
+def test_brute_force_rowwise_values_match_single_rows():
+    rng = np.random.default_rng(5)
+    rows = rng.uniform(-2.0, 2.0, size=(7, 2))
+    fs = [euclidean(2), _DIAG_F, CoshSum(2), PowerEuclidean(3.0, 2), PowerP(4.0, 3.0, 2)]
+    ops = [SubdiffAbs(0.5, np.ones(2)), _DIAG_A, NormalConeBox(-1.0, 1.0, 2),
+           GradientOfConvex("norm4", np.zeros(2), 2), Scaled(2.0, identity_op(2)),
+           OperatorSum([SubdiffAbs(1.0, np.zeros(2)), GradientOfConvex("logcosh", np.zeros(2), 2)])]
+    for f in fs:
+        assert_allclose(legendre_value(f, rows), [f.value(r) for r in rows], rtol=1e-13)
+    for op in ops:
+        many = operator_potential(op, rows)
+        assert many.shape == (7,)
+        assert_allclose(many, [operator_potential(op, r) for r in rows], rtol=1e-13)
+    assert operator_potential(NormalConeBox(-1.0, 1.0, 2), np.array([2.0, 0.0])) == np.inf
+
+
+def test_brute_force_skips_nan_points():
+    # at the far end of this grid f(y) and <w, y> both overflow, so h is NaN there
+    ref = brute_force_protoresolvent(euclidean(1), identity_op(1), 1.0, np.array([1e154]))
+    assert ref[0] == pytest.approx(5e153, rel=1e-6)
+
+
+def test_brute_force_without_finite_grid_point_raises():
+    # the box [0.01, 0.05] falls between the 81 points of the first round
+    with pytest.raises(EmptyOperatorValue, match="round 0.*box"):
+        brute_force_protoresolvent(euclidean(1), NormalConeBox(0.01, 0.05, 1), 1.0, np.zeros(1))
 
 
 def test_exact_case_degeneration():
