@@ -21,9 +21,9 @@ from .legendre import CoshSum, PowerEuclidean, PowerP, QuadraticForm
 from .operators import (Affine, GradientOfConvex, MonotoneOp, NormalConeBox,
                         OperatorSum, Scaled, SubdiffAbs)
 
-# rows scored per numpy pass; a round with more grid points (dim >= 6 at the
-# default resolution) is scored in slices of this size to bound memory
-_ROWS_PER_PASS = 1 << 16
+# largest round scored at once (dim <= 6 at the default resolution); the
+# whole round is held in memory as one (k, dim) array
+_MAX_GRID_POINTS = 1 << 20
 
 
 def _quadratic(matrix, y):
@@ -83,26 +83,23 @@ def brute_force_protoresolvent(f, op, lam, w, span=None, points=81, rounds=8):
     center = np.zeros(dim)
     half = span
     per_axis = points if dim == 1 else max(9, int(round(points ** (1.0 / dim))))
-    shape = (per_axis,) * dim
     size = per_axis ** dim
+    if size > _MAX_GRID_POINTS:
+        raise ValueError(f"brute force: {size} grid points per round in dim {dim} "
+                         f"exceed the limit of {_MAX_GRID_POINTS}")
 
     for r in range(rounds):
         axes = np.linspace(center - half, center + half, per_axis)  # column i: axis i
-        best_val, best = np.inf, None
-        for start in range(0, size, _ROWS_PER_PASS):
-            index = np.unravel_index(np.arange(start, min(start + _ROWS_PER_PASS, size)), shape)
-            rows = axes[np.stack(index, axis=-1), np.arange(dim)]
-            # points that overflow score inf or NaN; they are discarded, not reported
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals = legendre_value(f, rows) + lam * operator_potential(op, rows) - rows @ w
-            vals[np.isnan(vals)] = np.inf
-            k = int(np.argmin(vals))
-            if vals[k] < best_val:
-                best_val, best = vals[k], rows[k]
-        if best is None:
+        rows = np.stack(np.meshgrid(*axes.T, indexing="ij"), axis=-1).reshape(-1, dim)
+        # points that overflow score inf or NaN; they are discarded, not reported
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = legendre_value(f, rows) + lam * operator_potential(op, rows) - rows @ w
+        vals[np.isnan(vals)] = np.inf
+        k = int(np.argmin(vals))
+        if vals[k] == np.inf:
             raise EmptyOperatorValue(
                 f"brute force: no grid point of round {r} has a finite objective for "
                 f"operator {op.spec_string()} (grid half-width {half:g} around {center.tolist()})")
         half *= 4.0 / (per_axis - 1)
-        center = best
+        center = rows[k].copy()
     return center

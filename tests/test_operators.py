@@ -43,10 +43,12 @@ def test_enlargement_examples():
 def test_enlargement_beyond_eight_dims(dim):
     abs_d = SubdiffAbs(1.0, np.zeros(dim))
     assert enlargement_residual(abs_d, 0.1, np.zeros(dim), np.zeros(dim)) == 0.0
-    # a candidate far outside A(0) = [-1, 1]^dim along the first axis is caught
-    xi = np.zeros(dim)
-    xi[0] = 100.0
-    assert enlargement_residual(abs_d, 0.1, np.zeros(dim), xi) > 0.0
+    # a candidate far outside A(0) = [-1, 1]^dim is caught along the first axis
+    # (base 2) and along the last, which uses the largest Halton prime
+    for axis in (0, dim - 1):
+        xi = np.zeros(dim)
+        xi[axis] = 100.0
+        assert enlargement_residual(abs_d, 0.1, np.zeros(dim), xi) > 0.0
 
 
 def test_affine_matrix_is_read_only():

@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import grid_argmin_1d
-from proxlab import reference
 from proxlab.errors import EmptyOperatorValue, NoStrategy, StrongImplicitnessFailure
 from proxlab.legendre import CoshSum, PowerEuclidean, PowerP, QuadraticForm, euclidean
 from proxlab.numerics import SpdMetric
@@ -119,11 +118,7 @@ _DIAG_A = Affine(np.diag([1.0, 0.5]), np.array([0.4, -0.2]))
      np.linalg.solve(np.diag([2.0, 3.0]) + 0.7 * np.diag([1.0, 0.5]),
                      np.array([1.0, -2.0]) - 0.7 * np.array([0.4, -0.2]))),
 ])
-@pytest.mark.parametrize("rows_per_pass", [None, 7])
-def test_two_strategies_agree_2d_closed_forms(f, op, lam, w, expected, rows_per_pass, monkeypatch):
-    if rows_per_pass is not None:
-        # score each 81-point round in slices, as large grids are
-        monkeypatch.setattr(reference, "_ROWS_PER_PASS", rows_per_pass)
+def test_two_strategies_agree_2d_closed_forms(f, op, lam, w, expected):
     w = np.asarray(w)
     ref = brute_force_protoresolvent(f, op, lam, w, rounds=30)
     assert np.linalg.norm(ref - expected) <= 1e-6
@@ -156,6 +151,12 @@ def test_brute_force_without_finite_grid_point_raises():
     # the box [0.01, 0.05] falls between the 81 points of the first round
     with pytest.raises(EmptyOperatorValue, match="round 0.*box"):
         brute_force_protoresolvent(euclidean(1), NormalConeBox(0.01, 0.05, 1), 1.0, np.zeros(1))
+
+
+def test_brute_force_rejects_oversized_rounds():
+    # 9**7 points per round in dim 7 would not fit one array; nothing is allocated
+    with pytest.raises(ValueError, match="grid points per round"):
+        brute_force_protoresolvent(euclidean(7), identity_op(7), 1.0, np.zeros(7))
 
 
 def test_exact_case_degeneration():
