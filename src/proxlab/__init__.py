@@ -5,10 +5,10 @@ from .algorithms import (IterateTrace, MetricSchedule, PerturbationPolicy, RunSp
                          ips_step, pls_step, rs_step, run, ss_step)
 from .legendre import (CoshSum, LegendreFn, PowerEuclidean, PowerP, QuadraticForm,
                        bregman_distance, diagnostics, euclidean, parse_legendre)
-from .numerics import SpdMetric, Tolerances, as_vector, metric_norm, pairing, spd_solve
+from .numerics import SpdMetric, Tolerances, as_vector, pairing
 from .operators import (Affine, GradientOfConvex, MonotoneOp, NormalConeBox,
                         OperatorSum, Scaled, SubdiffAbs, enlargement_residual,
-                        identity_op, membership_residual, parse_operator, zero_residual)
+                        identity_op, parse_operator, zero_residual)
 from .resolvent import (InclusionInstance, InclusionSolution, StronglyImplicitSpec,
                         holder_certify, ips_form, pls_form, protoresolvent,
                         radius_search, solve_inclusion, ss_form, verify_solution)
@@ -23,8 +23,8 @@ __all__ = [
     "SubdiffAbs", "Tolerances", "as_vector", "bregman_distance", "bregman_project",
     "diagnostics", "eckstein_step", "enlargement_residual", "euclidean",
     "holder_certify", "identity_op", "ips_form", "ips_nu", "ips_step",
-    "membership_residual", "metric_norm", "pairing", "parse_legendre",
+    "pairing", "parse_legendre",
     "parse_operator", "pls_form", "pls_step", "protoresolvent", "radius_search",
-    "rs_step", "run", "solve_inclusion", "spd_solve", "ss_form", "ss_step",
+    "rs_step", "run", "solve_inclusion", "ss_form", "ss_step",
     "verify_solution", "zero_residual",
 ]

@@ -3,14 +3,17 @@
 Each per-step operation computes its iterate through the closed forms of the
 inclusion machinery, re-checks the scheme's own acceptance condition on the
 supplied perturbation (Reject), and detects the scheme's stop clause
-(Terminate).  The run loop owns perturbation injection: draws that violate a
-relative condition are halved up to 60 times and then replaced by zero, which
-is always accepted.
+(Terminate).  One run loop drives all five schemes through small per-scheme
+adapters.  It draws the perturbation (scaled by the sampled acceptance radius
+under the radius_fraction policy), halves draws that violate a relative
+condition up to 60 times and then replaces them by zero, which is always
+accepted, takes the step and records one row per step.  A Terminate step is
+recorded as a step to y: only the stop residual at the new iterate ends a run
+as converged.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -158,7 +161,6 @@ class TraceRecord:
     eta: np.ndarray | None = None
     step_param: float = 0.0
     note: str = ""
-    wall_clock: float = 0.0
     extra: dict = field(default_factory=dict)
 
     @property
@@ -209,6 +211,7 @@ class StepResult:
     xi: np.ndarray | None = None
     x_next: np.ndarray | None = None
     certified_zero: bool = False
+    extra: dict = field(default_factory=dict)
 
 
 def eckstein_step(f: LegendreFn, op: MonotoneOp, lam: float, x, eta_next, tolerances=None):
@@ -536,159 +539,137 @@ def _subspace_projector(z_basis):
 
 
 def _shrink_until_accepted(step_fn, eta, max_shrink=60):
-    attempts = 0
     current = np.array(eta)
-    while attempts < max_shrink:
+    for attempts in range(max_shrink):
         result = step_fn(current)
         if result.status != "reject":
             return result, current, attempts
         current = 0.5 * current
-        attempts += 1
-    result = step_fn(np.zeros_like(current))
-    return result, np.zeros_like(current), attempts
+    current = np.zeros_like(current)
+    return step_fn(current), current, max_shrink
+
+
+#  per-scheme adapters.  For iteration n at x each returns the step parameter,
+#  a radius thunk and the step.  The thunk gives radius_search's (f, lam, form)
+#  and the factor that maps its radius to the scheme-side error; it is None
+#  where the scheme accepts any error.  The step takes an error array with one
+#  row per operator and returns a StepResult.
+
+def _eckstein(spec, tol, n, x):
+    lam = spec.lam.at(n)
+
+    def step(etas):
+        x_new = eckstein_step(spec.f, spec.op, lam, x, etas[0], tolerances=tol)
+        xi = etas[0] / lam - (spec.f.gradient(x_new) - spec.f.gradient(x)) / lam
+        return StepResult(status="accepted", y=np.array(x_new), xi=xi, x_next=x_new)
+    return lam, None, step
+
+
+def _ss(spec, tol, n, x):
+    mu = spec.mu.at(n)
+    return (mu, lambda: (euclidean(spec.dim), 1.0 / mu, ss_form(spec.sigma, mu), 1.0),
+            lambda etas: ss_step(spec.op, mu, spec.sigma, x, etas[0], tolerances=tol))
+
+
+def _ips(spec, tol, n, x):
+    lam = spec.lam.at(n)
+    return (lam, lambda: (euclidean(spec.dim), lam, ips_form(spec.nu, lam), lam),
+            lambda etas: ips_step(spec.op, lam, spec.nu, x, etas[0], tolerances=tol))
+
+
+def _pls(spec, tol, n, x):
+    c, metric = spec.c.at(n), spec.metric.at(n, spec.dim)
+
+    def radius_args():
+        f_n = QuadraticForm(SpdMetric(np.linalg.inv(metric.matrix)))
+        # the scheme-side error is cM times the generic one
+        scale = c * float(np.min(np.linalg.eigvalsh(metric.matrix)))
+        return f_n, c, pls_form(spec.sigma, c, metric), scale
+
+    def step(etas):
+        result = pls_step(spec.op, c, metric, spec.sigma, spec.tau, x, etas[0], tolerances=tol)
+        result.extra["metric"] = metric
+        return result
+    return c, radius_args, step
+
+
+def _rs(spec, tol, n, x):
+    lam = spec.lam.at(n)
+
+    def step(etas):
+        it = rs_step(spec.f, spec.ops, [lam] * len(spec.ops), etas, spec.x0, x,
+                     common_zero=spec.common_zero, tolerances=tol)
+        return StepResult(status="accepted", y=it.ys[0], xi=it.xis[0], x_next=it.x_next,
+                          extra={"rs": it})
+    return lam, None, step
+
+
+_ADAPTERS = {"eckstein": _eckstein, "ss": _ss, "ips": _ips, "pls": _pls, "rs": _rs}
 
 
 def run(spec: RunSpec, policy: PerturbationPolicy, stop: StopRule, tolerances=None) -> IterateTrace:
     """Drive a scheme from x0 until the zero residual passes or budgets expire."""
-    base_tol = tolerances or DEFAULT_TOLERANCES
-    tol = replace(base_tol, zero_detect=stop.zero_detect)
+    tol = replace(tolerances or DEFAULT_TOLERANCES, zero_detect=stop.zero_detect)
     if policy.needs_radius and spec.scheme in ("eckstein", "rs"):
         raise ConfigError(
             f"radius_fraction is undefined for {spec.scheme}: the scheme accepts "
             "arbitrary perturbations, so no acceptance radius exists")
-    dim = spec.dim
     x = np.array(spec.x0)
-
-    trace = IterateTrace(scheme=spec.scheme, records=[], meta={"dim": dim})
     zr = _stop_residual(spec.all_ops, x, tol)
-    trace.records.append(TraceRecord(n=0, x=np.array(x), zero_residual=zr,
-                                     note="init", wall_clock=time.perf_counter()))
-    if zr <= stop.zero_detect:
-        trace.termination_reason = "zero detected"
-        trace.converged = True
-        return trace
-
-    f_eucl = euclidean(dim)
-    running_sum = 0.0
-
-    try:
-        trace.termination_reason = _iterate(spec, policy, stop, tol, trace, x, f_eucl, running_sum)
-    except (SolverError, UpdateUndefined) as exc:
-        # per-step failures abort the run but keep the partial trace
-        trace.termination_reason = "solver failure"
-        trace.meta["error"] = str(exc)
+    trace = IterateTrace(scheme=spec.scheme, meta={"dim": spec.dim},
+                         records=[TraceRecord(n=0, x=x, zero_residual=zr, note="init")],
+                         termination_reason="zero detected")
+    if zr > stop.zero_detect:
+        try:
+            trace.termination_reason = _iterate(spec, policy, stop, tol, trace, x)
+        except (SolverError, UpdateUndefined) as exc:
+            # per-step failures abort the run but keep the partial trace
+            trace.termination_reason = "solver failure"
+            trace.meta["error"] = str(exc)
     trace.converged = trace.termination_reason == "zero detected"
     return trace
 
 
-def _iterate(spec, policy, stop, tol, trace, x, f_eucl, running_sum):
-    dim = spec.dim
+def _iterate(spec, policy, stop, tol, trace, x):
+    """One loop for every scheme: draw, shrink, step, stop."""
+    adapter = _ADAPTERS[spec.scheme]
+    projector = _subspace_projector(spec.z_basis) if spec.scheme == "ips" else None
+    running_sum = 0.0
     for n in range(stop.max_iters):
         row = n + 1
-        note = ""
-
-        if spec.scheme == "eckstein":
-            lam = spec.lam.at(n)
-            eta = policy.draw(row, dim)
-            x_new = eckstein_step(spec.f, spec.op, lam, x, eta, tolerances=tol)
-            xi = eta / lam - (spec.f.gradient(x_new) - spec.f.gradient(x)) / lam
-            running_sum += pairing(eta, x_new)
+        param, radius_args, step = adapter(spec, tol, n, x)
+        note, radius = "", None
+        if policy.needs_radius:  # run() admits it only where radius_args exists
+            try:
+                f_r, lam_r, form, scale = radius_args()
+                radius = scale * radius_search(f_r, spec.op, lam_r, x, form,
+                                               probes=spec.radius_probes,
+                                               seed=spec.radius_seed, tolerances=tol)
+            except StrongImplicitnessFailure:
+                radius, note = 0.0, "radius unavailable;"
+        # one error row per operator, each from its own stream
+        etas = [policy.draw(row, spec.dim, stream=i, radius=radius)
+                for i in range(len(spec.all_ops))]
+        if projector is not None:
+            etas = [projector @ e for e in etas]
+        result, etas, shrinks = _shrink_until_accepted(step, etas)
+        if shrinks:
+            note += f"shrunk:{shrinks}"
+        if result.status == "terminate":
+            # the clause only says y is near x: step there, the stop residual decides
+            tag = "terminate(certified)" if result.certified_zero else "terminate"
+            note = ";".join(filter(None, (note.rstrip(";"), tag)))
+            x = result.y
+        else:
+            x = result.x_next
+        eta = max(etas, key=np.linalg.norm)  # the row records the largest error
+        if spec.scheme == "eckstein":  # partial sums of <eta_n, x_n>, for the sidecar
+            running_sum += pairing(eta, x)
             trace.partial_sums.append(running_sum)
-            rec = TraceRecord(n=row, x=x_new, zero_residual=0.0, y=np.array(x_new),
-                              xi=xi, eta=eta, step_param=lam)
-
-        elif spec.scheme == "ss":
-            mu = spec.mu.at(n)
-            radius = None
-            if policy.needs_radius:
-                try:
-                    radius = radius_search(f_eucl, spec.op, 1.0 / mu, x,
-                                           ss_form(spec.sigma, mu), probes=spec.radius_probes,
-                                           seed=spec.radius_seed, tolerances=tol)
-                except StrongImplicitnessFailure:
-                    radius = 0.0
-                    note = "radius unavailable;"
-            eta0 = policy.draw(row, dim, radius=radius)
-            result, eta, shrinks = _shrink_until_accepted(
-                lambda e: ss_step(spec.op, mu, spec.sigma, x, e, tolerances=tol), eta0)
-            if shrinks:
-                note += f"shrunk:{shrinks}"
-            if result.status == "terminate":
-                trace.records[-1].note += ";terminate(certified)" if result.certified_zero else ";terminate"
-                return "zero detected"
-            rec = TraceRecord(n=row, x=result.x_next, zero_residual=0.0, y=result.y,
-                              xi=result.xi, eta=eta, step_param=mu, note=note)
-
-        elif spec.scheme == "ips":
-            lam = spec.lam.at(n)
-            projector = _subspace_projector(spec.z_basis)
-            radius = None
-            if policy.needs_radius:
-                try:
-                    r_gen = radius_search(f_eucl, spec.op, lam, x, ips_form(spec.nu, lam),
-                                          probes=spec.radius_probes, seed=spec.radius_seed,
-                                          tolerances=tol)
-                    radius = lam * r_gen
-                except StrongImplicitnessFailure:
-                    radius = 0.0
-                    note = "radius unavailable;"
-            eta0 = policy.draw(row, dim, radius=radius)
-            if projector is not None:
-                eta0 = projector @ eta0
-            result, eta, shrinks = _shrink_until_accepted(
-                lambda e: ips_step(spec.op, lam, spec.nu, x, e, tolerances=tol), eta0)
-            if shrinks:
-                note += f"shrunk:{shrinks}"
-            rec = TraceRecord(n=row, x=result.x_next, zero_residual=0.0, y=result.y,
-                              xi=result.xi, eta=eta, step_param=lam, note=note)
-
-        elif spec.scheme == "pls":
-            c = spec.c.at(n)
-            metric = spec.metric.at(n, dim)
-            radius = None
-            if policy.needs_radius:
-                try:
-                    f_n = QuadraticForm(SpdMetric(np.linalg.inv(metric.matrix)))
-                    r_gen = radius_search(f_n, spec.op, c, x,
-                                          pls_form(spec.sigma, c, metric),
-                                          probes=spec.radius_probes, seed=spec.radius_seed,
-                                          tolerances=tol)
-                    # the scheme-side error is cM times the generic one
-                    radius = c * float(np.min(np.linalg.eigvalsh(metric.matrix))) * r_gen
-                except StrongImplicitnessFailure:
-                    radius = 0.0
-                    note = "radius unavailable;"
-            eta0 = policy.draw(row, dim, radius=radius)
-            result, eta, shrinks = _shrink_until_accepted(
-                lambda e: pls_step(spec.op, c, metric, spec.sigma, spec.tau, x, e, tolerances=tol),
-                eta0)
-            if shrinks:
-                note = f"shrunk:{shrinks}"
-            if result.status == "terminate":
-                trace.records[-1].note += ";terminate(certified)" if result.certified_zero else ";terminate"
-                return "zero detected"
-            rec = TraceRecord(n=row, x=result.x_next, zero_residual=0.0, y=result.y,
-                              xi=result.xi, eta=eta, step_param=c, note=note,
-                              extra={"metric": metric})
-
-        elif spec.scheme == "rs":
-            lam = spec.lam.at(n)
-            etas = [policy.draw(row, dim, stream=i) for i in range(len(spec.ops))]
-            it = rs_step(spec.f, spec.ops, [lam] * len(spec.ops), etas, spec.x0, x,
-                         common_zero=spec.common_zero, tolerances=tol)
-            eta_max = max(etas, key=lambda e: float(np.linalg.norm(e)))
-            rec = TraceRecord(n=row, x=it.x_next, zero_residual=0.0, y=it.ys[0],
-                              xi=it.xis[0], eta=eta_max, step_param=lam,
-                              extra={"rs": it, "x_prev": np.array(x)})
-
-        else:  # pragma: no cover - guarded by RunSpec
-            raise ConfigError(f"unknown scheme {spec.scheme!r}")
-
-        x = rec.x
-        rec.zero_residual = _stop_residual(spec.all_ops, x, tol)
-        rec.wall_clock = time.perf_counter()
+        rec = TraceRecord(n=row, x=x, zero_residual=_stop_residual(spec.all_ops, x, tol),
+                          y=result.y, xi=result.xi, eta=eta, step_param=param, note=note,
+                          extra=result.extra)
         trace.records.append(rec)
         if rec.zero_residual <= stop.zero_detect:
             return "zero detected"
-
     return "max_iters"

@@ -19,7 +19,7 @@ from .numerics import DEFAULT_TOLERANCES, SpdMetric, pairing, random_spd_matrix
 from .operators import (Affine, GradientOfConvex, NormalConeBox, OperatorSum, Scaled,
                         SubdiffAbs, enlargement_residual, identity_op, zero_residual)
 from .reference import brute_force_protoresolvent
-from .resolvent import (InclusionInstance, holder_certify, solve_inclusion,
+from .resolvent import (InclusionInstance, holder_certify, protoresolvent, solve_inclusion,
                         verify_solution)
 
 SUITES = ("legendre", "resolvent", "algorithms")
@@ -286,7 +286,6 @@ def resolvent_suite(seed=1, instances=10_000):
         if k % 10 == 0:
             exact = solve_inclusion(InclusionInstance(
                 f=inst.f, op=inst.op, lam=inst.lam, x=inst.x, eta=np.zeros(inst.f.dim)))
-            from .resolvent import protoresolvent
             direct = protoresolvent(inst.f, inst.op, inst.lam, inst.f.gradient(inst.x))
             if np.linalg.norm(exact.y - direct) > 1e-10:
                 exact_bad += 1
@@ -362,7 +361,6 @@ def algorithms_suite(seed=1):
     for _ in range(50):
         lam = float(rng.uniform(0.3, 2.0))
         x = rng.uniform(-4.0, 4.0, size=1)
-        from .resolvent import protoresolvent
         y_classic = protoresolvent(euclidean(1), op_abs, lam, x)
         res = alg.ss_step(op_abs, 1.0 / lam, 0.5, x, np.zeros(1), tolerances=tol)
         y_eck = alg.eckstein_step(euclidean(1), op_abs, lam, x, np.zeros(1), tolerances=tol)

@@ -18,9 +18,9 @@ import numpy as np
 from . import algorithms as alg
 from . import checks, legendre, operators
 from .errors import ConfigError, SolverError, StrongImplicitnessFailure
-from .numerics import as_vector
-from .resolvent import (InclusionInstance, ips_form, pls_form, radius_search,
-                        solve_inclusion, ss_form, verify_solution)
+from .numerics import SpdMetric, as_vector
+from .resolvent import (DEFAULT_MAGNITUDES, InclusionInstance, ips_form, pls_form,
+                        radius_search, solve_inclusion, ss_form, verify_solution)
 
 SEED_ENV = "PROXLAB_SEED"
 
@@ -304,9 +304,7 @@ def cmd_radius(args) -> int:
     elif args.form == "ips":
         spec = ips_form(args.nu, args.lam)
     else:
-        from .numerics import SpdMetric
         spec = pls_form(args.sigma, args.lam, SpdMetric.identity(x.shape[0]))
-    from .resolvent import DEFAULT_MAGNITUDES
     r = radius_search(f, op, args.lam, x, spec, probes=args.probes, seed=args.seed)
     r0 = 1.0 + float(np.linalg.norm(x))
     print(f"radius = {_fmt(r)}")

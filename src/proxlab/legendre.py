@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch
-from .numerics import as_vector, pairing
+from .numerics import SpdMetric, as_vector, pairing
 
 
 class LegendreFn:
@@ -235,8 +235,6 @@ class PowerP(LegendreFn):
 
 def euclidean(dim) -> QuadraticForm:
     """The canonical f = (1/2)||.||^2."""
-    from .numerics import SpdMetric
-
     return QuadraticForm(SpdMetric.identity(dim))
 
 
@@ -330,8 +328,6 @@ def _parse_kv_list(segment):
 
 def parse_legendre(spec: str, dim: int) -> LegendreFn:
     """Build a catalog entry from a CLI string such as 'cosh' or 'power:rho=4'."""
-    from .numerics import SpdMetric
-
     head, _, rest = spec.partition(":")
     head = head.strip().lower()
     if head == "quadratic":

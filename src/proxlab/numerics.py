@@ -37,16 +37,12 @@ def as_vector(x, dim=None):
     return v
 
 
-def check_same_dim(a, b):
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatch(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-
-
 def pairing(a, b) -> float:
     """Duality pairing <a, b> = sum a_i b_i (Euclidean in finite dimension)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    check_same_dim(a, b)
+    if a.shape[0] != b.shape[0]:
+        raise DimensionMismatch(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
     return float(np.dot(a, b))
 
 
@@ -119,14 +115,6 @@ class SpdMetric:
         return f"SpdMetric(dim={self.dim})"
 
 
-def metric_norm(metric: SpdMetric, w) -> float:
-    return metric.norm(w)
-
-
-def spd_solve(metric: SpdMetric, b):
-    return metric.solve(b)
-
-
 @dataclass(frozen=True)
 class Tolerances:
     """Shared tolerance policy; all thresholds strictly positive."""
@@ -148,17 +136,16 @@ def halton_points(count, dim, skip=20):
     """Deterministic low-discrepancy points in [0, 1)^dim (van der Corput per axis)."""
     if dim > len(_HALTON_PRIMES):
         raise DimensionMismatch(f"halton grid supports dim <= {len(_HALTON_PRIMES)}")
-    out = np.empty((count, dim))
-    for j in range(dim):
-        base = _HALTON_PRIMES[j]
-        for i in range(count):
-            n, f, r = i + skip, 1.0, 0.0
-            while n > 0:
-                f /= base
-                r += f * (n % base)
-                n //= base
-            out[i, j] = r
-    return out
+    bases = np.array(_HALTON_PRIMES[:dim])
+    n = np.repeat(np.arange(skip, skip + count)[:, None], dim, axis=1)
+    f = np.ones(dim)  # base**-k at digit position k, the same for every point
+    r = np.zeros((count, dim))
+    # one pass per digit position; finished entries (n = 0) add zero digits
+    while n.any():
+        f /= bases
+        r += f * (n % bases)
+        n //= bases
+    return r
 
 
 def unit_directions(count, dim, seed):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyOperatorValue
+from .legendre import _parse_kv_list
 from .numerics import as_vector, halton_points, pairing
 
 
@@ -421,10 +422,6 @@ def identity_op(dim) -> Affine:
     return Affine(np.eye(dim), np.zeros(dim))
 
 
-def membership_residual(op: MonotoneOp, y, xi) -> float:
-    return op.membership_residual(y, xi)
-
-
 def enlargement_residual(op: MonotoneOp, eps, y, xi, witness_budget=256, halfwidth=1.0):
     """Largest sampled violation of xi being in the eps-enlargement of A at y.
 
@@ -477,8 +474,6 @@ CATALOG_SPECS = (
 
 def parse_operator(spec: str, dim: int) -> MonotoneOp:
     """Build a catalog operator from a CLI string (see CATALOG_SPECS)."""
-    from .legendre import _parse_kv_list
-
     spec = spec.strip()
     head, _, rest = spec.partition(":")
     head = head.lower()

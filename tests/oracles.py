@@ -29,6 +29,21 @@ def bisect_increasing(g, lo, hi, iters=200):
     return 0.5 * (lo + hi)
 
 
+def halton_points_scalar(count, dim, skip=20):
+    """Halton points one digit at a time, one entry at a time."""
+    primes = [p for p in range(2, 400) if all(p % q for q in range(2, p))][:dim]
+    out = np.empty((count, dim))
+    for j, base in enumerate(primes):
+        for i in range(count):
+            n, f, r = i + skip, 1.0, 0.0
+            while n > 0:
+                f /= base
+                r += f * (n % base)
+                n //= base
+            out[i, j] = r
+    return out
+
+
 def soft_threshold(t, thr):
     return float(np.sign(t) * max(abs(t) - thr, 0.0))
 

@@ -98,6 +98,32 @@ def test_pls_step_examples():
     assert res.xi[0] == pytest.approx(1.0 / 3.0)
 
 
+def test_terminate_clause_defers_to_stop_residual():
+    # a huge mu (ss) or a tiny c (pls) keeps y within zero_detect of x far from
+    # any zero: the step's terminate clause fires, but the stop residual decides
+    stop = alg.StopRule(max_iters=20, zero_detect=1e-8)
+    specs = [alg.RunSpec(scheme="ss", x0=np.array([2.0]), op=SubdiffAbs(1.0, np.array([1.0])),
+                         mu=alg.Schedule.constant(1e9), sigma=0.5),
+             alg.RunSpec(scheme="pls", x0=np.array([1.0]), op=identity_op(1),
+                         c=alg.Schedule.constant(1e-9))]
+    for spec in specs:
+        trace = alg.run(spec, alg.PerturbationPolicy.zero(), stop)
+        assert not trace.converged and trace.termination_reason == "max_iters"
+        assert trace.iterations == 20
+        assert all(rec.note == "terminate(certified)" for rec in trace.records[1:])
+        assert trace.final_residual > 0.49  # the iterate creeps by ~1e-9 a step
+
+
+def test_terminate_clause_near_zero_converges():
+    spec = alg.RunSpec(scheme="ss", x0=np.array([1.0 + 1.05e-8]), op=SubdiffAbs(1.0, np.array([1.0])),
+                       mu=alg.Schedule.constant(1e9), sigma=0.5)
+    trace = alg.run(spec, alg.PerturbationPolicy.zero(), alg.StopRule(max_iters=20, zero_detect=1e-8))
+    assert trace.records[0].zero_residual > 1e-8
+    assert trace.converged and trace.iterations == 1
+    assert trace.records[1].note == "terminate(certified)"
+    assert trace.final_residual <= 1e-8
+
+
 def test_bregman_project_examples():
     f = euclidean(1)
     assert alg.bregman_project(f, [([1.0], 0.0)], [1.0])[0] == pytest.approx(0.0)

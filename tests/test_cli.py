@@ -116,6 +116,28 @@ def test_run_zero_start_single_row(tmp_path, capsys):
     assert "zero detected" in out
 
 
+def test_run_terminate_far_from_zero_exits_4(tmp_path, capsys):
+    # mu = 1e9 trips the hybrid step's terminate clause at x = 2, where the
+    # stop residual is 1: the run must exhaust its budget, not report a zero
+    cfg = {
+        "space_dim": 1,
+        "scheme": "ss",
+        "x0": [2.0],
+        "operator": "abs:w=1,shift=1",
+        "scheme_params": {"sigma": 0.5, "mu": {"kind": "constant", "value": 1e9}},
+        "policy": {"kind": "zero"},
+        "output_path": str(tmp_path / "term.csv"),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    code, out, _ = run_cli(capsys, "run", str(path))
+    assert code == 4
+    assert "termination=max_iters" in out
+    sidecar = json.loads((tmp_path / "term.csv.json").read_text())
+    assert sidecar["summary"]["converged"] is False
+    assert sidecar["summary"]["final_residual"] > 0.99
+
+
 def test_run_invalid_policy_exits_1(tmp_path, capsys):
     path, _ = _eckstein_config(tmp_path,
                                policy={"kind": "summable_geometric", "c": 0.1, "q": 1.0})

@@ -3,8 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from proxlab.errors import DimensionMismatch, NotSpd
-from proxlab.numerics import (SpdMetric, Tolerances, as_vector, halton_points, metric_norm,
-                              pairing, random_spd_matrix, spd_solve)
+from oracles import halton_points_scalar
+from proxlab.numerics import SpdMetric, Tolerances, as_vector, halton_points, pairing, random_spd_matrix
 
 
 def test_pairing_values():
@@ -28,16 +28,16 @@ def test_pairing_symmetry_sampled():
 
 def test_metric_norm_values():
     eye = SpdMetric.identity(2)
-    assert metric_norm(eye, [3.0, 4.0]) == pytest.approx(5.0)
-    assert metric_norm(SpdMetric.diagonal([4.0, 1.0]), [1.0, 0.0]) == pytest.approx(2.0)
-    assert metric_norm(SpdMetric.diagonal([3.0, 7.0]), [0.0, 0.0]) == 0.0
+    assert eye.norm([3.0, 4.0]) == pytest.approx(5.0)
+    assert SpdMetric.diagonal([4.0, 1.0]).norm([1.0, 0.0]) == pytest.approx(2.0)
+    assert SpdMetric.diagonal([3.0, 7.0]).norm([0.0, 0.0]) == 0.0
 
 
 def test_spd_solve_values():
-    assert_allclose(spd_solve(SpdMetric.identity(2), [7.0, -2.0]), [7.0, -2.0])
-    assert_allclose(spd_solve(SpdMetric.diagonal([2.0, 4.0]), [2.0, 4.0]), [1.0, 1.0])
+    assert_allclose(SpdMetric.identity(2).solve([7.0, -2.0]), [7.0, -2.0])
+    assert_allclose(SpdMetric.diagonal([2.0, 4.0]).solve([2.0, 4.0]), [1.0, 1.0])
     m = SpdMetric([[2.0, 1.0], [1.0, 2.0]])
-    x = spd_solve(m, [3.0, 3.0])
+    x = m.solve([3.0, 3.0])
     assert_allclose(x, [1.0, 1.0], atol=1e-12)
     assert_allclose(m.apply(x), [3.0, 3.0], atol=1e-12)  # multiply-back oracle
 
@@ -98,3 +98,8 @@ def test_halton_extension_keeps_low_dims():
     assert_allclose(halton_points(32, 64)[:, :8], halton_points(32, 8), rtol=0, atol=0)
     with pytest.raises(DimensionMismatch):
         halton_points(4, 65)
+
+
+@pytest.mark.parametrize("count, dim", [(256, 64), (64, 1)])
+def test_halton_matches_scalar_digit_expansion(count, dim):
+    assert np.array_equal(halton_points(count, dim), halton_points_scalar(count, dim))
