@@ -18,13 +18,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (ConfigError, InfeasibleProjection, SolverError,
+from .errors import (ConfigError, DimensionMismatch, InfeasibleProjection, SolverError,
                      StrongImplicitnessFailure, UpdateUndefined)
 from .legendre import LegendreFn, QuadraticForm, euclidean
-from .numerics import DEFAULT_TOLERANCES, SpdMetric, as_vector, pairing, random_spd_matrix
-from .operators import MonotoneOp, zero_residual
-from .resolvent import (InclusionInstance, ips_form, pls_form, protoresolvent,
-                        radius_search, solve_inclusion, ss_form)
+from .numerics import (DEFAULT_TOLERANCES, SpdMetric, as_vector, pairing, random_spd_matrix,
+                       require_finite)
+from .operators import MonotoneOp
+from .resolvent import (_check_pairing, _protoresolvent, _solve, ips_form, pls_form,
+                        protoresolvent, radius_search, ss_form)
 
 SCHEMES = ("eckstein", "ss", "ips", "pls", "rs")
 
@@ -42,10 +43,10 @@ class Schedule:
 
     def __post_init__(self):
         if self.kind == "constant":
-            if self.value <= 0.0:
+            if not 0.0 < self.value < np.inf:
                 raise ConfigError("constant schedule needs value > 0")
         elif self.kind == "geometric":
-            if self.c <= 0.0 or self.q <= 0.0:
+            if not (0.0 < self.c < np.inf and 0.0 < self.q < np.inf):
                 raise ConfigError("geometric schedule needs c > 0 and q > 0")
         else:
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
@@ -73,13 +74,17 @@ class MetricSchedule:
     eig_hi: float = 2.0
     seed: int = 0
 
+    def __post_init__(self):
+        if self.kind not in ("identity", "random_spd"):
+            raise ConfigError(f"unknown metric schedule kind {self.kind!r}")
+        if not 0.0 < self.eig_lo <= self.eig_hi < np.inf:
+            raise ConfigError("metric schedule needs 0 < eig_min <= eig_max")
+
     def at(self, n: int, dim: int) -> SpdMetric:
         if self.kind == "identity":
             return SpdMetric.identity(dim)
-        if self.kind == "random_spd":
-            rng = np.random.default_rng([self.seed, 7, n])
-            return SpdMetric(random_spd_matrix(dim, self.eig_lo, self.eig_hi, rng))
-        raise ConfigError(f"unknown metric schedule kind {self.kind!r}")
+        rng = np.random.default_rng([self.seed, 7, n])
+        return SpdMetric(random_spd_matrix(dim, self.eig_lo, self.eig_hi, rng))
 
 
 @dataclass(frozen=True)
@@ -99,7 +104,7 @@ class PerturbationPolicy:
             raise ConfigError("summable_geometric needs q in (0, 1)")
         if self.kind == "radius_fraction" and not (0.0 < self.fraction < 1.0):
             raise ConfigError("radius_fraction needs fraction in (0, 1)")
-        if self.c < 0.0:
+        if not 0.0 <= self.c < np.inf:
             raise ConfigError("perturbation magnitude c must be nonnegative")
 
     @classmethod
@@ -198,7 +203,7 @@ class StopRule:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
-        if self.zero_detect <= 0.0:
+        if not 0.0 < self.zero_detect < np.inf:
             raise ConfigError("zero_detect must be positive")
 
 
@@ -223,15 +228,16 @@ def eckstein_step(f: LegendreFn, op: MonotoneOp, lam: float, x, eta_next, tolera
 
 def ss_step(op: MonotoneOp, mu: float, sigma: float, x, eta, tolerances=None) -> StepResult:
     """Hybrid projection step: prox at x - eta/mu, then project onto the cut."""
-    tol = tolerances or DEFAULT_TOLERANCES
-    if mu <= 0.0:
+    if not 0.0 < mu < np.inf:
         raise ValueError("mu must be positive")
-    if sigma < 0.0:
+    if not 0.0 <= sigma < np.inf:
         raise ValueError("sigma must be nonnegative")
-    x = as_vector(x, op.dim)
-    eta = as_vector(eta, op.dim)
-    f = euclidean(op.dim)
-    y = protoresolvent(f, op, 1.0 / mu, x - eta / mu, tolerances=tol)
+    return _ss_step(op, mu, sigma, as_vector(x, op.dim), as_vector(eta, op.dim),
+                    tolerances or DEFAULT_TOLERANCES)
+
+
+def _ss_step(op, mu, sigma, x, eta, tol):
+    y = _protoresolvent(euclidean(op.dim), op, 1.0 / mu, x - eta / mu, tol)
     xi = -eta - mu * (y - x)
 
     if np.linalg.norm(eta) > sigma * max(float(np.linalg.norm(xi)), mu * float(np.linalg.norm(y - x))):
@@ -252,26 +258,29 @@ def ss_step(op: MonotoneOp, mu: float, sigma: float, x, eta, tolerances=None) ->
 
 def ips_nu(sigma: float, rho: float, lam_hat: float) -> float:
     """Relative-error coefficient from (sigma, rho, lambda_hat)."""
-    if lam_hat <= 0.0:
+    if not 0.0 < lam_hat < np.inf:
         raise ValueError("lam_hat must be positive")
-    if sigma < 0.0 or rho < 0.0:
+    if not (0.0 <= sigma < np.inf and 0.0 <= rho < np.inf):
         raise ValueError("sigma and rho must be nonnegative")
     ratio = 2.0 * rho / lam_hat
     radicand = sigma + (1.0 - sigma) * ratio ** 2
-    if radicand < 0.0:
+    if not radicand >= 0.0:
         raise ValueError(f"negative radicand {radicand} in nu formula")
     return (np.sqrt(radicand) - ratio) / (1.0 + ratio)
 
 
 def ips_step(op: MonotoneOp, lam: float, nu: float, x, eta, tolerances=None) -> StepResult:
     """Subspace-constrained relative-error step; caller projects eta onto Z."""
-    tol = tolerances or DEFAULT_TOLERANCES
-    if lam <= 0.0:
+    if not 0.0 < lam < np.inf:
         raise ValueError("lam must be positive")
-    x = as_vector(x, op.dim)
-    eta = as_vector(eta, op.dim)
-    f = euclidean(op.dim)
-    y = protoresolvent(f, op, lam, x + eta, tolerances=tol)
+    if not np.isfinite(nu):
+        raise ValueError("nu must be finite")
+    return _ips_step(op, lam, nu, as_vector(x, op.dim), as_vector(eta, op.dim),
+                     tolerances or DEFAULT_TOLERANCES)
+
+
+def _ips_step(op, lam, nu, x, eta, tol):
+    y = _protoresolvent(euclidean(op.dim), op, lam, x + eta, tol)
     if np.linalg.norm(eta) > nu * float(np.linalg.norm(y - x)):
         return StepResult(status="reject", y=y)
     xi = (eta - (y - x)) / lam
@@ -281,14 +290,19 @@ def ips_step(op: MonotoneOp, lam: float, nu: float, x, eta, tolerances=None) -> 
 def pls_step(op: MonotoneOp, c: float, metric: SpdMetric, sigma: float, tau: float,
              x, eta, tolerances=None) -> StepResult:
     """Variable-metric step with the squared metric-norm error criterion."""
-    tol = tolerances or DEFAULT_TOLERANCES
-    if c <= 0.0:
+    if not 0.0 < c < np.inf:
         raise ValueError("c must be positive")
-    x = as_vector(x, op.dim)
-    eta = as_vector(eta, op.dim)
-    inv_metric = SpdMetric(np.linalg.inv(metric.matrix))
-    f = QuadraticForm(inv_metric)
-    y = protoresolvent(f, op, c, metric.solve(x + eta), tolerances=tol)
+    if not (0.0 <= sigma < np.inf and np.isfinite(tau)):
+        raise ValueError("sigma must be nonnegative and tau finite")
+    if metric.dim != op.dim:
+        raise DimensionMismatch(f"metric dim {metric.dim} != operator dim {op.dim}")
+    return _pls_step(op, c, metric, sigma, tau, as_vector(x, op.dim), as_vector(eta, op.dim),
+                     tolerances or DEFAULT_TOLERANCES)
+
+
+def _pls_step(op, c, metric, sigma, tau, x, eta, tol):
+    f = QuadraticForm(SpdMetric(np.linalg.inv(metric.matrix)))
+    y = _protoresolvent(f, op, c, metric.solve(x + eta), tol)
     xi = metric.solve(eta - (y - x)) / c
 
     # c M xi + (y - x) telescopes back to eta, so the error side is exact
@@ -395,12 +409,18 @@ def bregman_project(f: LegendreFn, halfspaces, x, tolerances=None):
     rescaled to unit normals so feasibility slacks mean signed distances.
     """
     x = as_vector(x, f.dim)
+    checked = [(as_vector(a, f.dim), float(b)) for a, b in halfspaces]
+    for a, b in checked:
+        if float(np.linalg.norm(a)) == 0.0 or not np.isfinite(b):
+            raise ValueError("halfspace needs a nonzero normal and a finite offset")
+    require_finite(f.gradient(x), "grad f(x)")
+    return _bregman_project(f, checked, x)
+
+
+def _bregman_project(f, halfspaces, x):
     normalized = []
     for a, b in halfspaces:
-        a = as_vector(a, f.dim)
         nrm = float(np.linalg.norm(a))
-        if nrm == 0.0:
-            raise ValueError("halfspace normal must be nonzero")
         normalized.append((a / nrm, float(b) / nrm))
     if not normalized:
         return np.array(x)
@@ -438,14 +458,26 @@ def rs_step(f: LegendreFn, ops, lams, etas, x0, x, common_zero=None, tolerances=
     (the whole space when grad f(w) = grad f(y)), and the new iterate is the
     Bregman projection of the anchor x0 onto the intersection of the cuts.
     """
-    tol = tolerances or DEFAULT_TOLERANCES
-    x0 = as_vector(x0, f.dim)
-    x = as_vector(x, f.dim)
+    if not len(ops) == len(lams) == len(etas):
+        raise ValueError(f"rs_step needs one lam and one eta per operator: {len(ops)} "
+                         f"operators, {len(lams)} lams, {len(etas)} etas")
+    for op, lam in zip(ops, lams):
+        _check_pairing(f, op, lam)
+    x0, x = as_vector(x0, f.dim), as_vector(x, f.dim)
+    etas = [as_vector(eta, f.dim) for eta in etas]
+    require_finite(f.gradient(x0), "grad f(x0)")
+    require_finite(f.gradient(x), "grad f(x)")
+    if common_zero is not None:
+        common_zero = as_vector(common_zero, f.dim)
+    return _rs_step(f, ops, lams, etas, x0, x, common_zero, tolerances or DEFAULT_TOLERANCES)
+
+
+def _rs_step(f, ops, lams, etas, x0, x, common_zero, tol):
+    gx = f.gradient(x)
     ws, ys, xis, cuts = [], [], [], []
     for op, lam, eta in zip(ops, lams, etas):
-        eta = as_vector(eta, f.dim)
-        w = f.grad_inverse(lam * eta + f.gradient(x))
-        sol = solve_inclusion(InclusionInstance(f=f, op=op, lam=lam, x=x, eta=eta), tolerances=tol)
+        w = f.grad_inverse(lam * eta + gx)
+        sol = _solve(f, op, lam, eta, gx, tol)
         a = f.gradient(w) - f.gradient(sol.y)
         if np.linalg.norm(a) <= 1e-14 * (1.0 + np.linalg.norm(f.gradient(w))):
             cut = None
@@ -468,16 +500,15 @@ def rs_step(f: LegendreFn, ops, lams, etas, x0, x, common_zero=None, tolerances=
                    lams=list(lams), c_halfspaces=cuts, q_halfspace=q_cut, x_next=x)
 
     if common_zero is not None:
-        z = as_vector(common_zero, f.dim)
         for a, b in it.halfspaces():
-            margin = (pairing(a, z) - b) / float(np.linalg.norm(a))
+            margin = (pairing(a, common_zero) - b) / float(np.linalg.norm(a))
             it.zero_margins.append(margin)
             if margin > 1e-9:
                 raise InfeasibleProjection(
                     f"certified common zero violates a recorded cut by {margin:.3e}"
                 )
 
-    it.x_next = bregman_project(f, it.halfspaces(), x0, tolerances=tol)
+    it.x_next = _bregman_project(f, it.halfspaces(), x0)
     return it
 
 
@@ -485,7 +516,10 @@ def rs_step(f: LegendreFn, ops, lams, etas, x0, x, common_zero=None, tolerances=
 
 @dataclass
 class RunSpec:
-    """Problem description consumed by run(); fields are scheme-specific."""
+    """Problem description consumed by run(); fields are scheme-specific.
+
+    Construction checks every field that run() hands to the trusted step cores.
+    """
 
     scheme: str
     x0: np.ndarray
@@ -515,6 +549,20 @@ class RunSpec:
             raise ConfigError(f"{self.scheme} needs an operator")
         if self.f is None:
             self.f = euclidean(self.dim)
+        for part in [self.f, *self.all_ops]:
+            if part.dim != self.dim:
+                raise DimensionMismatch(f"x0 has dimension {self.dim} but {part!r} has {part.dim}")
+        if not (0.0 <= self.sigma < np.inf and np.isfinite(self.nu) and np.isfinite(self.tau)):
+            raise ConfigError("sigma must be nonnegative and finite, nu and tau finite")
+        if self.radius_probes < 1:
+            raise ConfigError("radius_probes must be at least 1")
+        if self.z_basis is not None:
+            self.z_basis = require_finite(np.atleast_2d(np.asarray(self.z_basis, dtype=float)),
+                                          "z_basis")
+            if self.z_basis.ndim != 2 or self.z_basis.shape[1] != self.dim:
+                raise DimensionMismatch(f"z_basis rows must have dimension {self.dim}")
+        if self.common_zero is not None:
+            self.common_zero = as_vector(self.common_zero, self.dim)
 
     @property
     def dim(self) -> int:
@@ -526,14 +574,16 @@ class RunSpec:
 
 
 def _stop_residual(ops, x, tol):
+    """max over ops of zero_residual(op, f, 1, x) with f = ||.||^2 / 2, on trusted x."""
     f = euclidean(x.shape[0])
-    return max(zero_residual(op, f, 1.0, x, tolerances=tol) for op in ops)
+    return max(float(np.linalg.norm(x - _protoresolvent(f, op, 1.0, f.gradient(x), tol)))
+               for op in ops)
 
 
 def _subspace_projector(z_basis):
     if z_basis is None:
         return None
-    basis = np.atleast_2d(np.asarray(z_basis, dtype=float)).T  # columns span Z
+    basis = z_basis.T  # columns span Z
     q, _ = np.linalg.qr(basis)
     return q @ q.T
 
@@ -559,7 +609,7 @@ def _eckstein(spec, tol, n, x):
     lam = spec.lam.at(n)
 
     def step(etas):
-        x_new = eckstein_step(spec.f, spec.op, lam, x, etas[0], tolerances=tol)
+        x_new = _protoresolvent(spec.f, spec.op, lam, etas[0] + spec.f.gradient(x), tol)
         xi = etas[0] / lam - (spec.f.gradient(x_new) - spec.f.gradient(x)) / lam
         return StepResult(status="accepted", y=np.array(x_new), xi=xi, x_next=x_new)
     return lam, None, step
@@ -568,13 +618,13 @@ def _eckstein(spec, tol, n, x):
 def _ss(spec, tol, n, x):
     mu = spec.mu.at(n)
     return (mu, lambda: (euclidean(spec.dim), 1.0 / mu, ss_form(spec.sigma, mu), 1.0),
-            lambda etas: ss_step(spec.op, mu, spec.sigma, x, etas[0], tolerances=tol))
+            lambda etas: _ss_step(spec.op, mu, spec.sigma, x, etas[0], tol))
 
 
 def _ips(spec, tol, n, x):
     lam = spec.lam.at(n)
     return (lam, lambda: (euclidean(spec.dim), lam, ips_form(spec.nu, lam), lam),
-            lambda etas: ips_step(spec.op, lam, spec.nu, x, etas[0], tolerances=tol))
+            lambda etas: _ips_step(spec.op, lam, spec.nu, x, etas[0], tol))
 
 
 def _pls(spec, tol, n, x):
@@ -587,7 +637,7 @@ def _pls(spec, tol, n, x):
         return f_n, c, pls_form(spec.sigma, c, metric), scale
 
     def step(etas):
-        result = pls_step(spec.op, c, metric, spec.sigma, spec.tau, x, etas[0], tolerances=tol)
+        result = _pls_step(spec.op, c, metric, spec.sigma, spec.tau, x, etas[0], tol)
         result.extra["metric"] = metric
         return result
     return c, radius_args, step
@@ -597,8 +647,8 @@ def _rs(spec, tol, n, x):
     lam = spec.lam.at(n)
 
     def step(etas):
-        it = rs_step(spec.f, spec.ops, [lam] * len(spec.ops), etas, spec.x0, x,
-                     common_zero=spec.common_zero, tolerances=tol)
+        it = _rs_step(spec.f, spec.ops, [lam] * len(spec.ops), etas, spec.x0, x,
+                      spec.common_zero, tol)
         return StepResult(status="accepted", y=it.ys[0], xi=it.xis[0], x_next=it.x_next,
                           extra={"rs": it})
     return lam, None, step
@@ -614,6 +664,7 @@ def run(spec: RunSpec, policy: PerturbationPolicy, stop: StopRule, tolerances=No
         raise ConfigError(
             f"radius_fraction is undefined for {spec.scheme}: the scheme accepts "
             "arbitrary perturbations, so no acceptance radius exists")
+    require_finite(spec.f.gradient(spec.x0), "grad f(x0)")
     x = np.array(spec.x0)
     zr = _stop_residual(spec.all_ops, x, tol)
     trace = IterateTrace(scheme=spec.scheme, meta={"dim": spec.dim},

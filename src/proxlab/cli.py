@@ -66,12 +66,34 @@ class ExperimentConfig:
         }
 
 
+# the closed config schema: every key an object may hold
+SCHEME_PARAM_KEYS = {
+    "eckstein": {"lambda"},
+    "ss": {"mu", "sigma", "radius_probes"},
+    "ips": {"lambda", "nu", "nu_from", "z_basis", "radius_probes"},
+    "pls": {"c", "sigma", "tau", "metric", "radius_probes"},
+    "rs": {"lambda", "common_zero"},
+}
+SCHEDULE_KEYS = {"constant": {"kind", "value"}, "geometric": {"kind", "c", "q"}}
+
+
+def _check_keys(obj, allowed, field):
+    if not isinstance(obj, dict):
+        raise ConfigError("must be an object", field=field)
+    for key in obj:
+        if key not in allowed:
+            raise ConfigError("unknown field", field=f"{field}.{key}")
+    return obj
+
+
 def _schedule_from(params: dict, key: str, default: float) -> alg.Schedule:
     raw = params.get(key)
     if raw is None:
         return alg.Schedule.constant(default)
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ConfigError("schedule must be an object with a 'kind'", field=f"scheme_params.{key}")
+    if raw["kind"] in SCHEDULE_KEYS:
+        _check_keys(raw, SCHEDULE_KEYS[raw["kind"]], f"scheme_params.{key}")
     try:
         if raw["kind"] == "constant":
             return alg.Schedule.constant(raw.get("value", default))
@@ -153,30 +175,36 @@ def build_run_inputs(cfg: ExperimentConfig):
         f = legendre.parse_legendre(cfg.legendre_spec, cfg.space_dim)
     except (ValueError, KeyError) as exc:
         raise ConfigError(str(exc), field="legendre")
+    if cfg.scheme in ("ss", "ips", "pls") and not (isinstance(f, legendre.QuadraticForm)
+                                                   and f.is_identity):
+        raise ConfigError(f"{cfg.scheme} runs in its own Euclidean or metric geometry; "
+                          "only 'quadratic' is allowed", field="legendre")
     try:
         ops = [operators.parse_operator(s, cfg.space_dim) for s in cfg.operator_specs]
     except (ValueError, KeyError) as exc:
         raise ConfigError(str(exc), field="operators")
 
-    params = cfg.scheme_params
+    params = _check_keys(cfg.scheme_params, SCHEME_PARAM_KEYS[cfg.scheme], "scheme_params")
     nu = params.get("nu", 0.0)
     if "nu_from" in params:
-        nf = params["nu_from"]
+        nf = _check_keys(params["nu_from"], {"sigma", "rho", "lambda_hat"},
+                         "scheme_params.nu_from")
         try:
             nu = alg.ips_nu(nf["sigma"], nf["rho"], nf["lambda_hat"])
         except (KeyError, ValueError) as exc:
             raise ConfigError(str(exc), field="scheme_params.nu_from")
 
-    metric_raw = params.get("metric", {"kind": "identity"})
-    metric = alg.MetricSchedule(
-        kind=metric_raw.get("kind", "identity"),
-        eig_lo=metric_raw.get("eig_min", 0.5),
-        eig_hi=metric_raw.get("eig_max", 2.0),
-        seed=seed,
-    )
-
-    z_basis = params.get("z_basis")
-    common_zero = params.get("common_zero")
+    metric_raw = _check_keys(params.get("metric", {"kind": "identity"}),
+                             {"kind", "eig_min", "eig_max"}, "scheme_params.metric")
+    try:
+        metric = alg.MetricSchedule(
+            kind=metric_raw.get("kind", "identity"),
+            eig_lo=metric_raw.get("eig_min", 0.5),
+            eig_hi=metric_raw.get("eig_max", 2.0),
+            seed=seed,
+        )
+    except (TypeError, ConfigError) as exc:
+        raise ConfigError(str(exc), field="scheme_params.metric")
 
     try:
         spec = alg.RunSpec(
@@ -192,8 +220,8 @@ def build_run_inputs(cfg: ExperimentConfig):
             nu=float(nu),
             tau=float(params.get("tau", 1.0)),
             metric=metric,
-            z_basis=np.asarray(z_basis, dtype=float) if z_basis is not None else None,
-            common_zero=as_vector(common_zero, cfg.space_dim) if common_zero is not None else None,
+            z_basis=params.get("z_basis"),
+            common_zero=params.get("common_zero"),
             radius_probes=int(params.get("radius_probes", 16)),
             radius_seed=seed,
         )
@@ -209,6 +237,7 @@ def build_run_inputs(cfg: ExperimentConfig):
     except (TypeError, ConfigError) as exc:
         raise ConfigError(str(exc), field="policy")
 
+    _check_keys(cfg.stop, {"max_iters", "zero_detect"}, "stop")
     try:
         stop = alg.StopRule(max_iters=int(cfg.stop["max_iters"]),
                             zero_detect=float(cfg.stop["zero_detect"]))
@@ -277,7 +306,7 @@ def cmd_catalog(_args) -> int:
 def cmd_prox(args) -> int:
     x = _vec(args.x)
     eta = _vec(args.eta) if args.eta else np.zeros_like(x)
-    if args.lam <= 0:
+    if not 0.0 < args.lam < np.inf:
         raise ConfigError("lam must be positive", field="--lam")
     f = legendre.parse_legendre(args.f, x.shape[0])
     op = operators.parse_operator(args.op, x.shape[0])
@@ -294,7 +323,7 @@ def cmd_prox(args) -> int:
 
 def cmd_radius(args) -> int:
     x = _vec(args.x)
-    if args.lam <= 0:
+    if not 0.0 < args.lam < np.inf:
         raise ConfigError("lam must be positive", field="--lam")
     f = legendre.parse_legendre(args.f, x.shape[0])
     op = operators.parse_operator(args.op, x.shape[0])

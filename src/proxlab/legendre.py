@@ -15,7 +15,8 @@ from .numerics import SpdMetric, as_vector, pairing
 
 
 class LegendreFn:
-    """Base class: value/gradient/gradient-inverse plus conjugacy helpers."""
+    """Base class: value/gradient/gradient-inverse plus conjugacy helpers.
+    The methods take length-`dim` float vectors and do not check them."""
 
     kind = "abstract"
     dim: int
@@ -31,7 +32,6 @@ class LegendreFn:
 
     def conjugate_value(self, u) -> float:
         """f*(u) = <u, (grad f)^{-1}(u)> - f((grad f)^{-1}(u))."""
-        u = self._check(u)
         x = self.grad_inverse(u)
         return pairing(u, x) - self.value(x)
 
@@ -48,9 +48,6 @@ class LegendreFn:
         if self.dim != 1:
             raise DimensionMismatch(f"{self.kind} has no coordinate-wise gradient")
         return float(self.gradient(np.array([t]))[0])
-
-    def _check(self, x):
-        return as_vector(x, self.dim)
 
     def spec_string(self) -> str:
         raise NotImplementedError
@@ -69,17 +66,15 @@ class QuadraticForm(LegendreFn):
         self.dim = metric.dim
 
     def value(self, x) -> float:
-        x = self._check(x)
         return 0.5 * pairing(self.metric.apply(x), x)
 
     def gradient(self, x):
-        return self.metric.apply(self._check(x))
+        return self.metric.apply(x)
 
     def grad_inverse(self, u):
-        return self.metric.solve(self._check(u))
+        return self.metric.solve(u)
 
     def closed_form_conjugate(self, u):
-        u = self._check(u)
         return 0.5 * pairing(self.metric.solve(u), u)
 
     @property
@@ -112,16 +107,16 @@ class CoshSum(LegendreFn):
         self.dim = int(dim)
 
     def value(self, x) -> float:
-        return float(np.sum(np.cosh(self._check(x))))
+        return float(np.sum(np.cosh(x)))
 
     def gradient(self, x):
-        return np.sinh(self._check(x))
+        return np.sinh(x)
 
     def grad_inverse(self, u):
-        return np.arcsinh(self._check(u))
+        return np.arcsinh(u)
 
     def closed_form_conjugate(self, u):
-        u = self._check(u)
+        u = np.asarray(u, dtype=float)
         return float(np.sum(u * np.arcsinh(u) - np.sqrt(1.0 + u * u)))
 
     def coord_grad(self, i, t):
@@ -141,31 +136,29 @@ class PowerEuclidean(LegendreFn):
     kind = "power_euclidean"
 
     def __init__(self, rho, dim):
-        if rho <= 1.0:
+        if not 1.0 < rho < np.inf:
             raise ValueError("power exponent rho must exceed 1")
         self.rho = float(rho)
         self.dim = int(dim)
 
     def value(self, x) -> float:
-        x = self._check(x)
         return float(np.linalg.norm(x) ** self.rho / self.rho)
 
     def gradient(self, x):
-        x = self._check(x)
+        x = np.asarray(x, dtype=float)
         n = np.linalg.norm(x)
         if n == 0.0:
             return np.zeros(self.dim)
         return n ** (self.rho - 2.0) * x
 
     def grad_inverse(self, u):
-        u = self._check(u)
+        u = np.asarray(u, dtype=float)
         n = np.linalg.norm(u)
         if n == 0.0:
             return np.zeros(self.dim)
         return n ** ((2.0 - self.rho) / (self.rho - 1.0)) * u
 
     def closed_form_conjugate(self, u):
-        u = self._check(u)
         rho_star = self.rho / (self.rho - 1.0)
         return float(np.linalg.norm(u) ** rho_star / rho_star)
 
@@ -189,7 +182,7 @@ class PowerP(LegendreFn):
     kind = "power_p"
 
     def __init__(self, p, rho, dim):
-        if p <= 1.0 or rho <= 1.0:
+        if not (1.0 < p < np.inf and 1.0 < rho < np.inf):
             raise ValueError("power_p requires p > 1 and rho > 1")
         self.p = float(p)
         self.rho = float(rho)
@@ -199,17 +192,15 @@ class PowerP(LegendreFn):
         return float(np.sum(np.abs(x) ** self.p) ** (1.0 / self.p))
 
     def value(self, x) -> float:
-        return self._pnorm(self._check(x)) ** self.rho / self.rho
+        return self._pnorm(x) ** self.rho / self.rho
 
     def gradient(self, x):
-        x = self._check(x)
         n = self._pnorm(x)
         if n == 0.0:
             return np.zeros(self.dim)
         return n ** (self.rho - self.p) * np.sign(x) * np.abs(x) ** (self.p - 1.0)
 
     def grad_inverse(self, u):
-        u = self._check(u)
         q = self.p / (self.p - 1.0)
         nq = float(np.sum(np.abs(u) ** q) ** (1.0 / q))
         if nq == 0.0:
@@ -218,7 +209,6 @@ class PowerP(LegendreFn):
         return np.sign(u) * np.abs(u) ** (1.0 / (self.p - 1.0)) * n ** ((self.p - self.rho) / (self.p - 1.0))
 
     def closed_form_conjugate(self, u):
-        u = self._check(u)
         q = self.p / (self.p - 1.0)
         rho_star = self.rho / (self.rho - 1.0)
         nq = float(np.sum(np.abs(u) ** q) ** (1.0 / q))

@@ -32,17 +32,21 @@ def as_vector(x, dim=None):
         raise DimensionMismatch(f"expected dimension {dim}, got {v.shape[0]}")
     if v.shape[0] == 0 or v.shape[0] > MAX_DIM:
         raise DimensionMismatch(f"dimension {v.shape[0]} outside supported range 1..{MAX_DIM}")
+    return require_finite(v)
+
+
+def require_finite(v, name="vector"):
+    """v itself, after checking that no entry is NaN or infinite (for derived
+    vectors such as grad f(x), whose shape is known but which may overflow)."""
     if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite")
+        raise ValueError(f"{name} entries must be finite")
     return v
 
 
 def pairing(a, b) -> float:
     """Duality pairing <a, b> = sum a_i b_i (Euclidean in finite dimension)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatch(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+    if len(a) != len(b):
+        raise DimensionMismatch(f"dimension mismatch: {len(a)} vs {len(b)}")
     return float(np.dot(a, b))
 
 
@@ -50,7 +54,8 @@ class SpdMetric:
     """Symmetric positive definite matrix with a cached Cholesky factor.
 
     The SPD check is factorization-based: construction fails exactly when the
-    (symmetrized) matrix is not positive definite.
+    (symmetrized) matrix is not positive definite.  The methods take trusted
+    length-`dim` vectors and do not check them.
     """
 
     def __init__(self, matrix):
@@ -86,29 +91,19 @@ class SpdMetric:
         return bool(np.count_nonzero(self.matrix - np.diag(np.diagonal(self.matrix))) == 0)
 
     def apply(self, w):
-        w = np.asarray(w, dtype=float)
-        if w.shape[0] != self.dim:
-            raise DimensionMismatch(f"metric has dim {self.dim}, vector has {w.shape[0]}")
         return self.matrix @ w
 
     def solve(self, b):
         """Solve M x = b through the cached factor."""
-        b = np.asarray(b, dtype=float)
-        if b.shape[0] != self.dim:
-            raise DimensionMismatch(f"metric has dim {self.dim}, vector has {b.shape[0]}")
         z = np.linalg.solve(self._chol, b)
         return np.linalg.solve(self._chol.T, z)
 
     def norm(self, w) -> float:
         """||w||_M = sqrt(<Mw, w>)."""
-        w = np.asarray(w, dtype=float)
         return float(np.sqrt(max(pairing(self.apply(w), w), 0.0)))
 
     def inv_norm(self, w) -> float:
         """||w||_{M^{-1}} = sqrt(<M^{-1}w, w>)."""
-        w = np.asarray(w, dtype=float)
-        if w.shape[0] != self.dim:
-            raise DimensionMismatch(f"metric has dim {self.dim}, vector has {w.shape[0]}")
         return float(np.sqrt(max(pairing(self.solve(w), w), 0.0)))
 
     def __repr__(self):
@@ -125,7 +120,7 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("inner_residual", "membership", "zero_detect"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"tolerance {name} must be strictly positive")
 
 

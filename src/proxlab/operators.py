@@ -36,7 +36,8 @@ class ValueBox:
 
 
 class MonotoneOp:
-    """Base class. Subclasses fill in value boxes and the coordinate view."""
+    """Base class. Subclasses fill in value boxes and the coordinate view.
+    The oracles take length-`dim` float vectors and do not check them."""
 
     kind = "abstract"
     dim: int
@@ -44,7 +45,6 @@ class MonotoneOp:
     #  value oracle
 
     def value_box(self, y) -> ValueBox:
-        y = as_vector(y, self.dim)
         lows = np.empty(self.dim)
         highs = np.empty(self.dim)
         for i in range(self.dim):
@@ -56,8 +56,6 @@ class MonotoneOp:
 
     def membership_residual(self, y, xi) -> float:
         """Exact distance from xi to A(y); raises if A(y) is empty."""
-        y = as_vector(y, self.dim)
-        xi = as_vector(xi, self.dim)
         return self.value_box(y).distance(xi)
 
     #  structure used by the inclusion solvers
@@ -130,7 +128,7 @@ class SubdiffAbs(MonotoneOp):
     kind = "subdiff_abs"
 
     def __init__(self, weight, shift, dim=None):
-        if weight < 0.0:
+        if not 0.0 <= weight < np.inf:
             raise ValueError("weight must be nonnegative")
         self.weight = float(weight)
         if np.isscalar(shift) and dim is not None:
@@ -178,7 +176,7 @@ class Affine(MonotoneOp):
         self._separable = bool(np.count_nonzero(m - np.diag(np.diagonal(m))) == 0)
 
     def value_box(self, y):
-        v = self.matrix @ as_vector(y, self.dim) + self.offset
+        v = self.matrix @ y + self.offset
         return ValueBox(v, v)
 
     def coord_box(self, i, t):
@@ -243,7 +241,8 @@ class NormalConeBox(MonotoneOp):
 
 
 class GradientOfConvex(MonotoneOp):
-    """Gradient of a smooth convex function from a small closed catalog.
+    """Gradient of a smooth convex function from a small closed catalog;
+    `gradient` and `hessian` take length-`dim` float vectors unchecked.
 
     profiles: 'logcosh'  F = w sum log cosh(t - s)   (separable, bounded slope)
               'quartic'  F = w sum (t - s)^4 / 4      (separable)
@@ -256,7 +255,7 @@ class GradientOfConvex(MonotoneOp):
     def __init__(self, profile, shift, dim=None, weight=1.0):
         if profile not in self.PROFILES:
             raise ValueError(f"unknown convex profile {profile!r}")
-        if weight <= 0.0:
+        if not 0.0 < weight < np.inf:
             raise ValueError("weight must be positive")
         self.profile = profile
         self.weight = float(weight)
@@ -266,7 +265,7 @@ class GradientOfConvex(MonotoneOp):
         self.dim = self.shift.shape[0]
 
     def gradient(self, y):
-        d = as_vector(y, self.dim) - self.shift
+        d = y - self.shift
         if self.profile == "logcosh":
             return self.weight * np.tanh(d)
         if self.profile == "quartic":
@@ -274,7 +273,7 @@ class GradientOfConvex(MonotoneOp):
         return self.weight * float(np.dot(d, d)) * d
 
     def hessian(self, y):
-        d = as_vector(y, self.dim) - self.shift
+        d = y - self.shift
         if self.profile == "logcosh":
             return self.weight * np.diag(1.0 / np.cosh(d) ** 2)
         if self.profile == "quartic":
@@ -310,7 +309,7 @@ class Scaled(MonotoneOp):
     kind = "scaled"
 
     def __init__(self, lam, inner):
-        if lam <= 0.0:
+        if not 0.0 < lam < np.inf:
             raise ValueError("scaling factor must be positive")
         self.lam = float(lam)
         self.inner = inner
@@ -430,7 +429,7 @@ def enlargement_residual(op: MonotoneOp, eps, y, xi, witness_budget=256, halfwid
     selection that minimizes <y' - xi, x' - y>.  A return of 0 certifies only
     that no sampled witness violates the enlargement inequality.
     """
-    if eps < 0.0:
+    if not eps >= 0.0:
         raise ValueError("enlargement parameter must be nonnegative")
     y = as_vector(y, op.dim)
     xi = as_vector(xi, op.dim)
@@ -453,8 +452,6 @@ def zero_residual(op: MonotoneOp, f, lam, x, tolerances=None) -> float:
     """||x - Res^f_{lam A}(x)||; zero (to tolerance) exactly at zeros of A."""
     from .resolvent import protoresolvent
 
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
     x = as_vector(x, op.dim)
     y = protoresolvent(f, op, lam, f.gradient(x), tolerances=tolerances)
     return float(np.linalg.norm(x - y))

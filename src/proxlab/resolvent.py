@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import EmptyOperatorValue, NoStrategy, SolverError, StrongImplicitnessFailure
 from .legendre import LegendreFn, QuadraticForm
-from .numerics import DEFAULT_TOLERANCES, as_vector, unit_directions
+from .numerics import DEFAULT_TOLERANCES, as_vector, require_finite, unit_directions
 from .operators import MonotoneOp
 
 
@@ -30,12 +30,17 @@ class InclusionInstance:
     eta: np.ndarray
 
     def __post_init__(self):
-        if self.lam <= 0.0:
-            raise ValueError("lam must be positive")
+        _check_pairing(self.f, self.op, self.lam)
         object.__setattr__(self, "x", as_vector(self.x, self.f.dim))
         object.__setattr__(self, "eta", as_vector(self.eta, self.f.dim))
-        if self.op.dim != self.f.dim:
-            raise ValueError(f"operator dim {self.op.dim} != function dim {self.f.dim}")
+        require_finite(self.lam * self.eta + self.f.gradient(self.x), "lam eta + grad f(x)")
+
+
+def _check_pairing(f, op, lam):
+    if not 0.0 < lam < np.inf:
+        raise ValueError("lam must be positive and finite")
+    if op.dim != f.dim:
+        raise ValueError(f"operator dim {op.dim} != function dim {f.dim}")
 
 
 @dataclass(frozen=True)
@@ -179,33 +184,34 @@ def _certify(f, op, lam, w, y, tol):
     xi_hat = box.nearest((w - f.gradient(y)) / lam)
     residual = float(np.linalg.norm(f.gradient(y) + lam * xi_hat - w))
     bound = tol.inner_residual * (1.0 + float(np.linalg.norm(w)))
-    if residual > bound:
+    if not residual <= bound:
         raise SolverError(
             f"protoresolvent certificate failed: residual {residual:.3e} > {bound:.3e}",
             residual=residual,
         )
-    return y, residual
+    return y
 
 
 def protoresolvent(f: LegendreFn, op: MonotoneOp, lam: float, w, tolerances=None):
     """The unique y with w in grad f(y) + lam A(y), certified by residual."""
-    tol = tolerances or DEFAULT_TOLERANCES
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    w = as_vector(w, f.dim)
-    if op.dim != f.dim:
-        raise ValueError(f"operator dim {op.dim} != function dim {f.dim}")
+    _check_pairing(f, op, lam)
+    return _protoresolvent(f, op, lam, as_vector(w, f.dim), tolerances or DEFAULT_TOLERANCES)
 
+
+def _protoresolvent(f, op, lam, w, tol):
+    return _certify(f, op, lam, w, _strategy(f, op, lam, w, tol), tol)
+
+
+def _strategy(f, op, lam, w, tol):
+    """The first strategy that fits the pairing; its y is certified by the caller."""
     affine = op.as_affine()
     if affine is not None:
         m, b = affine
         if isinstance(f, QuadraticForm):
-            y = np.linalg.solve(f.metric.matrix + lam * m, w - lam * b)
-            return _certify(f, op, lam, w, y, tol)[0]
+            return np.linalg.solve(f.metric.matrix + lam * m, w - lam * b)
         if not np.any(m):
             # constant operator: reduces to the gradient inverse
-            y = f.grad_inverse(w - lam * b)
-            return _certify(f, op, lam, w, y, tol)[0]
+            return f.grad_inverse(w - lam * b)
 
     identity_f = isinstance(f, QuadraticForm) and f.is_identity
     if identity_f:
@@ -213,15 +219,12 @@ def protoresolvent(f: LegendreFn, op: MonotoneOp, lam: float, w, tolerances=None
         if abs_form is not None:
             weight, shift = abs_form
             d = w - shift
-            y = shift + np.sign(d) * np.maximum(np.abs(d) - lam * weight, 0.0)
-            return _certify(f, op, lam, w, y, tol)[0]
+            return shift + np.sign(d) * np.maximum(np.abs(d) - lam * weight, 0.0)
         if op.smooth_gradient() is not None:
-            y = _solve_newton(f, op, lam, w, tol)
-            return _certify(f, op, lam, w, y, tol)[0]
+            return _solve_newton(f, op, lam, w, tol)
 
     if f.separable and op.separable:
-        y = _solve_separable(f, op, lam, w)
-        return _certify(f, op, lam, w, y, tol)[0]
+        return _solve_separable(f, op, lam, w)
 
     raise NoStrategy(
         f"no solver strategy for f={f.spec_string()} with A={op.spec_string()} in dim {f.dim}"
@@ -230,32 +233,36 @@ def protoresolvent(f: LegendreFn, op: MonotoneOp, lam: float, w, tolerances=None
 
 def solve_inclusion(inst: InclusionInstance, tolerances=None) -> InclusionSolution:
     """Unique (y, xi): y from the shifted protoresolvent, xi reconstructed exactly."""
-    tol = tolerances or DEFAULT_TOLERANCES
-    f, op, lam = inst.f, inst.op, inst.lam
-    w = lam * inst.eta + f.gradient(inst.x)
-    y = protoresolvent(f, op, lam, w, tolerances=tol)
-    xi = inst.eta - (f.gradient(y) - f.gradient(inst.x)) / lam
+    return _solve(inst.f, inst.op, inst.lam, inst.eta, inst.f.gradient(inst.x),
+                  tolerances or DEFAULT_TOLERANCES)
+
+
+def _solve(f, op, lam, eta, gx, tol):
+    w = lam * eta + gx  # gx = grad f(x)
+    y = _protoresolvent(f, op, lam, w, tol)
+    xi = eta - (f.gradient(y) - gx) / lam
     residual = float(np.linalg.norm(f.gradient(y) + lam * op.value_box(y).nearest(xi) - w))
     return InclusionSolution(y=y, xi=xi, inner_residual=residual)
 
 
 def verify_solution(inst: InclusionInstance, y, xi, tolerances=None) -> VerificationReport:
     """Report-only check of the two defining conditions of a candidate pair."""
-    tol = tolerances or DEFAULT_TOLERANCES
-    y = as_vector(y, inst.f.dim)
-    xi = as_vector(xi, inst.f.dim)
+    return _verify(inst.f, inst.op, inst.lam, inst.eta, inst.f.gradient(inst.x),
+                   as_vector(y, inst.f.dim), as_vector(xi, inst.f.dim),
+                   tolerances or DEFAULT_TOLERANCES)
+
+
+def _verify(f, op, lam, eta, gx, y, xi, tol):
     try:
-        membership = inst.op.membership_residual(y, xi)
+        membership = op.membership_residual(y, xi)
     except EmptyOperatorValue:
         membership = np.inf
-    linear = float(np.linalg.norm(
-        inst.eta - xi - (inst.f.gradient(y) - inst.f.gradient(inst.x)) / inst.lam
-    ))
+    linear = float(np.linalg.norm(eta - xi - (f.gradient(y) - gx) / lam))
     return VerificationReport(
         membership_residual=membership,
         linear_residual=linear,
         membership_pass=membership <= tol.membership,
-        linear_pass=linear <= tol.inner_residual * (1.0 + float(np.linalg.norm(inst.eta))),
+        linear_pass=linear <= tol.inner_residual * (1.0 + float(np.linalg.norm(eta))),
     )
 
 
@@ -265,14 +272,16 @@ def holder_certify(f, op, lam, rho, beta, samples=10_000, seed=0, scale=3.0, tol
     The caller asserts that grad f is uniformly monotone of power type rho with
     constant beta; the certified bound is free of lam.
     """
+    _check_pairing(f, op, lam)
+    tol = tolerances or DEFAULT_TOLERANCES
     rng = np.random.default_rng(seed)
     exponent = 1.0 / (rho - 1.0)
     violations, max_violation = 0, -np.inf
     for _ in range(samples):
         w1 = rng.uniform(-scale, scale, size=f.dim)
         w2 = rng.uniform(-scale, scale, size=f.dim)
-        y1 = protoresolvent(f, op, lam, w1, tolerances=tolerances)
-        y2 = protoresolvent(f, op, lam, w2, tolerances=tolerances)
+        y1 = _protoresolvent(f, op, lam, w1, tol)
+        y2 = _protoresolvent(f, op, lam, w2, tol)
         bound = (float(np.linalg.norm(w1 - w2)) / beta) ** exponent + 1e-8
         gap = float(np.linalg.norm(y1 - y2)) - bound
         max_violation = max(max_violation, gap)
@@ -344,14 +353,20 @@ def radius_search(f, op, lam, x, spec: StronglyImplicitSpec, probes=64, r0=None,
     overestimate the true uniform radius; probes are drawn over the whole
     space (no smaller open neighbourhood is modelled).
     """
-    tol = tolerances or DEFAULT_TOLERANCES
+    _check_pairing(f, op, lam)
     x = as_vector(x, f.dim)
+    if probes < 1:
+        raise ValueError("probes must be at least 1")
+    if not magnitudes or not all(0.0 < m <= 1.0 for m in magnitudes):
+        raise ValueError("magnitudes must be a non-empty sequence in (0, 1]")
+    tol = tolerances or DEFAULT_TOLERANCES
+    gx = require_finite(f.gradient(x), "grad f(x)")
 
-    y0 = protoresolvent(f, op, lam, f.gradient(x), tolerances=tol)
-    xi0 = -(f.gradient(y0) - f.gradient(x)) / lam
+    y0 = _protoresolvent(f, op, lam, gx, tol)
+    xi0 = -(f.gradient(y0) - gx) / lam
     zero = np.zeros(f.dim)
     theta0 = spec.psi(zero, xi0, x, y0) - spec.phi(zero, xi0, x, y0)
-    if theta0 <= 0.0:
+    if not theta0 > 0.0:
         raise StrongImplicitnessFailure(
             f"strong implicitness fails at 0: psi(0) - phi(0) = {theta0:.3e}"
         )
@@ -362,9 +377,8 @@ def radius_search(f, op, lam, x, spec: StronglyImplicitSpec, probes=64, r0=None,
         for d in directions:
             for m in magnitudes:
                 eta = (m * r) * d
-                inst = InclusionInstance(f=f, op=op, lam=lam, x=x, eta=eta)
-                sol = solve_inclusion(inst, tolerances=tol)
-                if not verify_solution(inst, sol.y, sol.xi, tolerances=tol).passed:
+                sol = _solve(f, op, lam, eta, gx, tol)
+                if not _verify(f, op, lam, eta, gx, sol.y, sol.xi, tol).passed:
                     return False
                 if not spec.phi(eta, sol.xi, x, sol.y) < spec.psi(eta, sol.xi, x, sol.y):
                     return False

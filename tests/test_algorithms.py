@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 
 from oracles import grid_argmin_1d
 from proxlab import algorithms as alg
-from proxlab.errors import ConfigError, InfeasibleProjection, UpdateUndefined
+from proxlab.errors import (ConfigError, DimensionMismatch, InfeasibleProjection,
+                            UpdateUndefined)
 from proxlab.legendre import CoshSum, bregman_distance, euclidean
 from proxlab.numerics import SpdMetric
 from proxlab.operators import Affine, SubdiffAbs, identity_op
@@ -308,3 +309,47 @@ def test_ips_subspace_projection():
     assert trace.converged
     for rec in trace.records[1:]:
         assert abs(rec.eta[1]) <= 1e-12
+
+
+def test_step_scalar_guards_reject_nan():
+    abs1 = SubdiffAbs(1.0, np.zeros(1))
+    # sigma = NaN used to pass every comparison, so the step was accepted
+    with pytest.raises(ValueError):
+        alg.ss_step(abs1, 1.0, np.nan, [2.0], [0.9])
+    with pytest.raises(ValueError):
+        alg.ss_step(abs1, np.nan, 0.5, [2.0], [0.0])
+    with pytest.raises(ValueError):
+        alg.ips_step(abs1, 1.0, np.nan, [2.0], [0.0])
+    with pytest.raises(ValueError):
+        alg.pls_step(abs1, 1.0, SpdMetric.identity(1), np.nan, 1.0, [2.0], [0.0])
+    with pytest.raises(ConfigError):
+        alg.RunSpec(scheme="ss", x0=np.ones(1), op=abs1, sigma=np.nan)
+    with pytest.raises(ConfigError):
+        alg.StopRule(zero_detect=np.nan)
+    with pytest.raises(ConfigError):
+        alg.Schedule.constant(np.nan)
+
+
+def test_rs_step_rejects_mismatched_lists():
+    # zip used to drop the second operator while recording both errors
+    f = euclidean(1)
+    ops = [SubdiffAbs(1.0, np.zeros(1)), identity_op(1)]
+    with pytest.raises(ValueError, match="one lam and one eta per operator"):
+        alg.rs_step(f, ops, [1.0], [np.zeros(1), np.zeros(1)], np.ones(1), np.ones(1))
+    with pytest.raises(ValueError, match="one lam and one eta per operator"):
+        alg.rs_step(f, ops, [1.0, 1.0], [np.zeros(1)], np.ones(1), np.ones(1))
+    it = alg.rs_step(f, ops, [1.0, 1.0], [np.zeros(1), np.zeros(1)], np.ones(1), np.ones(1))
+    assert len(it.ys) == len(it.etas) == 2
+
+
+def test_run_spec_checks_dimensions():
+    with pytest.raises(DimensionMismatch):
+        alg.RunSpec(scheme="ss", x0=np.ones(2), op=SubdiffAbs(1.0, np.zeros(3)))
+    with pytest.raises(DimensionMismatch):
+        alg.RunSpec(scheme="eckstein", x0=np.ones(2), op=identity_op(2), f=euclidean(3))
+    with pytest.raises(DimensionMismatch):
+        alg.RunSpec(scheme="rs", x0=np.ones(2), ops=[identity_op(2), identity_op(1)])
+    with pytest.raises(DimensionMismatch):
+        alg.RunSpec(scheme="ips", x0=np.ones(2), op=identity_op(2), z_basis=np.ones((1, 3)))
+    with pytest.raises(ConfigError):
+        alg.RunSpec(scheme="ss", x0=np.ones(2), op=identity_op(2), radius_probes=0)

@@ -291,3 +291,73 @@ def test_csv_floats_roundtrip(tmp_path, capsys):
         # every numeric field reparses exactly (shortest round-trip repr)
         for tok in fields[1:-1]:
             assert repr(float(tok)) == tok
+
+
+def _schema_config(scheme="eckstein", **overrides):
+    cfg = {"space_dim": 1, "scheme": scheme, "x0": [2.0], "operator": "abs:w=1",
+           "policy": {"kind": "zero"}}
+    cfg.update(overrides)
+    return cfg
+
+
+@pytest.mark.parametrize("cfg, field", [
+    (_schema_config(scheme_params={"lamda": {"kind": "constant", "value": 0.01}}),
+     "scheme_params.lamda"),
+    (_schema_config(stop={"max_iter": 10}), "stop.max_iter"),
+    (_schema_config("pls", scheme_params={"metric": {"kind": "random_spd", "eig_mn": 0.1}}),
+     "scheme_params.metric.eig_mn"),
+    (_schema_config("ips", scheme_params={"nu_from": {"sigma": 0.25, "rho": 0.0,
+                                                      "lambda_hat": 1.0, "junk": 1}}),
+     "scheme_params.nu_from.junk"),
+    (_schema_config(scheme_params={"lambda": {"kind": "constant", "vlaue": 1.0}}),
+     "scheme_params.lambda.vlaue"),
+    (_schema_config("ss", scheme_params={"mu": {"kind": "geometric", "c": 1.0, "q": 0.9,
+                                                "value": 2.0}}),
+     "scheme_params.mu.value"),
+    # keys that belong to another scheme
+    (_schema_config(scheme_params={"sigma": 0.5}), "scheme_params.sigma"),
+    (_schema_config("ss", scheme_params={"z_basis": [[1.0]]}), "scheme_params.z_basis"),
+    # ss, ips and pls fix their own geometry
+    (_schema_config("ss", legendre="cosh"), "legendre"),
+    (_schema_config("pls", legendre="quadratic:diag=2"), "legendre"),
+])
+def test_parse_config_schema_is_closed(cfg, field):
+    with pytest.raises(ConfigError) as info:
+        cli.parse_config(cfg)
+    assert info.value.field == field
+
+
+def test_run_misspelt_scheme_param_exits_1(tmp_path, capsys):
+    path, _ = _eckstein_config(
+        tmp_path, scheme_params={"lamda": {"kind": "constant", "value": 0.01}})
+    code, _, err = run_cli(capsys, "run", str(path))
+    assert code == 1
+    assert "scheme_params.lamda: unknown field" in err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("params", [
+    {"sigma": float("nan")},
+    {"sigma": 0.5, "radius_probes": 0},
+])
+def test_parse_config_rejects_bad_scheme_scalars(tmp_path, capsys, params):
+    cfg = _schema_config("ss", scheme_params=params, output_path=str(tmp_path / "t.csv"))
+    with pytest.raises(ConfigError):
+        cli.parse_config(cfg)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))  # json writes the NaN literal, which json.load reads
+    code, _, _ = run_cli(capsys, "run", str(path))
+    assert code == 1
+
+
+def test_radius_zero_probes_exits_1(capsys):
+    code, _, err = run_cli(capsys, "radius", "--op", "abs:w=1", "--x", "1,-2",
+                           "--form", "ss", "--probes", "0")
+    assert code == 1
+    assert "probes" in err
+
+
+def test_prox_nan_lambda_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, "prox", "--op", "abs:w=1", "--lam", "nan", "--x", "2")
+    assert code == 1
+    assert "lam" in err

@@ -1,0 +1,106 @@
+"""Pinned trace bodies: the SHA-256 of the CSV body and the exit code of
+`proxlab run` for a fixed set of configs.
+
+The configs cover all five schemes and all four perturbation policies; none
+of them reaches a step's terminate clause.  A change to any digest is a
+change to the numbers a run writes and must be named as such.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from proxlab import cli
+
+STOP = {"max_iters": 500, "zero_detect": 1e-8}
+
+CONFIGS = {
+    # acceptance criterion 10
+    "eckstein_summable_criterion10": {
+        "space_dim": 2, "scheme": "eckstein", "x0": [0.0, 0.0],
+        "operator": "affine:diag=1,b=-1,-2",
+        "scheme_params": {"lambda": {"kind": "constant", "value": 1.0}},
+        "policy": {"kind": "summable_geometric", "c": 0.1, "q": 0.5},
+        "stop": {"max_iters": 200, "zero_detect": 1e-10}, "seed": 42,
+    },
+    "eckstein_cosh_constant_norm_geometric": {
+        "space_dim": 1, "scheme": "eckstein", "x0": [2.0], "legendre": "cosh",
+        "operator": "abs:w=1,shift=0.5",
+        "scheme_params": {"lambda": {"kind": "geometric", "c": 0.5, "q": 1.1}},
+        "policy": {"kind": "constant_norm", "c": 1e-12}, "stop": {"max_iters": 60,
+                                                                 "zero_detect": 1e-8},
+        "seed": 3,
+    },
+    "ss_radius_fraction_1d": {
+        "space_dim": 1, "scheme": "ss", "x0": [2.0], "operator": "abs:w=1,shift=1",
+        "scheme_params": {"sigma": 0.5, "mu": {"kind": "constant", "value": 1.0}},
+        "policy": {"kind": "radius_fraction", "fraction": 0.5}, "stop": STOP, "seed": 1,
+    },
+    "ss_constant_norm_2d": {
+        "space_dim": 2, "scheme": "ss", "x0": [1.0, -2.0], "operator": "affine:diag=1,2,b=-1,0",
+        "scheme_params": {"sigma": 0.4, "radius_probes": 8},
+        "policy": {"kind": "constant_norm", "c": 0.01}, "stop": STOP, "seed": 5,
+    },
+    "ips_z_basis_summable_3d": {
+        "space_dim": 3, "scheme": "ips", "x0": [1.0, 2.0, -1.0], "operator": "affine:diag=1,2,3,b=0",
+        "scheme_params": {"nu": 0.3, "z_basis": [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]],
+                          "lambda": {"kind": "constant", "value": 0.8}},
+        "policy": {"kind": "summable_geometric", "c": 0.05, "q": 0.6}, "stop": STOP, "seed": 2,
+    },
+    "ips_nu_from_radius_fraction_1d": {
+        "space_dim": 1, "scheme": "ips", "x0": [3.0], "operator": "abs:w=1,shift=0",
+        "scheme_params": {"nu_from": {"sigma": 0.25, "rho": 0.0, "lambda_hat": 1.0}},
+        "policy": {"kind": "radius_fraction", "fraction": 0.5}, "stop": STOP, "seed": 4,
+    },
+    "pls_random_spd_summable_2d": {
+        "space_dim": 2, "scheme": "pls", "x0": [1.5, -0.5], "operator": "affine:diag=1,0.5,b=0",
+        "scheme_params": {"sigma": 0.3, "tau": 1.5, "c": {"kind": "constant", "value": 1.0},
+                          "metric": {"kind": "random_spd", "eig_min": 0.5, "eig_max": 2.0}},
+        "policy": {"kind": "summable_geometric", "c": 0.05, "q": 0.7}, "stop": STOP, "seed": 6,
+    },
+    "pls_radius_fraction_1d": {
+        "space_dim": 1, "scheme": "pls", "x0": [2.0], "operator": "affine:diag=2,b=-1",
+        "scheme_params": {"sigma": 0.5, "radius_probes": 4},
+        "policy": {"kind": "radius_fraction", "fraction": 0.4}, "stop": STOP, "seed": 7,
+    },
+    "rs_cosh_2d_zero": {
+        "space_dim": 2, "scheme": "rs", "x0": [1.0, 1.0], "legendre": "cosh",
+        "operators": ["abs:w=1,shift=0", "affine:diag=1,b=0"],
+        "policy": {"kind": "zero"}, "stop": {"max_iters": 60, "zero_detect": 1e-8}, "seed": 0,
+    },
+    "rs_euclidean_common_zero_summable": {
+        "space_dim": 2, "scheme": "rs", "x0": [1.0, -1.0],
+        "operators": ["abs:w=1,shift=0", "affine:diag=1,2,b=0", "grad:logcosh:shift=0"],
+        "scheme_params": {"lambda": {"kind": "constant", "value": 1.0}, "common_zero": [0.0, 0.0]},
+        "policy": {"kind": "summable_geometric", "c": 0.05, "q": 0.5},
+        "stop": {"max_iters": 200, "zero_detect": 1e-8}, "seed": 8,
+    },
+}
+
+# (exit code, SHA-256 of the CSV body), recorded before the input checks
+# moved to the public entry points
+EXPECTED = {
+    "eckstein_cosh_constant_norm_geometric": (0, "dbe6b397660d8e22c3ce8a3d2f7fb2da0d4ad25a71a8a87dbba9724ecf98fb96"),
+    "eckstein_summable_criterion10": (0, "7ee494766d15f0a34b4832319d96ffce2049f0f583a8e3045d2df498a71c8b9d"),
+    "ips_nu_from_radius_fraction_1d": (0, "14880fa4086bb5d2a0ef4f3fe9371d2aeb58a4096ee57dfcd595e39ae9c9de2a"),
+    "ips_z_basis_summable_3d": (0, "846c05aba67ce17aa84cb6fd568a16f186e7422409538c40171e52ead451aa69"),
+    "pls_radius_fraction_1d": (0, "d501fd5f87d6925f303e057bfaacd4627d11388f28d6a21c17881792e653236e"),
+    "pls_random_spd_summable_2d": (0, "ac751ca2ab03c89c81746c09c4da06b27e6867bc586d6bae85e2a59b596371fc"),
+    "rs_cosh_2d_zero": (0, "bd15b49952d2d909e53f0b6aa41fb76cc6acba94ce6012e3be3308623af3c48a"),
+    "rs_euclidean_common_zero_summable": (4, "c2903ca4d8969eddafe4cac362634254e8d3e1ca43f1b1338b70cc0a70bc4584"),
+    "ss_constant_norm_2d": (0, "f783d42f6f9a0ee75b7d53c8789e9a3dae8ec4c88592bfd23452b31a1d1ab2ef"),
+    "ss_radius_fraction_1d": (0, "d2514ad6bfdf2c23a755ee90049ffcbb534d53bf494a41405afeed5d0fef98be"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_trace_body_is_pinned(name, tmp_path, capsys):
+    cfg = dict(CONFIGS[name], output_path=str(tmp_path / "trace.csv"))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    code = cli.main(["run", str(path)])
+    capsys.readouterr()
+    body = (tmp_path / "trace.csv").read_bytes()
+    assert "terminate" not in body.decode()
+    assert (code, hashlib.sha256(body).hexdigest()) == EXPECTED[name]

@@ -244,3 +244,43 @@ def test_verify_requires_positive_lambda():
     with pytest.raises(ValueError):
         InclusionInstance(f=euclidean(1), op=identity_op(1), lam=0.0,
                           x=np.zeros(1), eta=np.zeros(1))
+
+
+def test_radius_search_needs_a_probe():
+    # without probes the search returned its unprobed start r0 = 1 + ||x|| = 3.236;
+    # 16 probes find about 0.59 for this 2-D case
+    f = euclidean(2)
+    op = SubdiffAbs(1.0, np.zeros(2))
+    x = np.array([1.0, -2.0])
+    for bad in ({"probes": 0}, {"probes": -1}, {"magnitudes": ()},
+                {"magnitudes": (0.5, 1.5)}, {"magnitudes": (0.0,)}):
+        with pytest.raises(ValueError):
+            radius_search(f, op, 1.0, x, ss_form(0.5, 1.0), **bad)
+    assert radius_search(f, op, 1.0, x, ss_form(0.5, 1.0), probes=16) < 1.0
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, 0.0, -1.0])
+def test_lambda_guards_reject_nan_and_inf(lam):
+    f, op = euclidean(1), SubdiffAbs(1.0, np.zeros(1))
+    with pytest.raises(ValueError):
+        InclusionInstance(f=f, op=op, lam=lam, x=np.ones(1), eta=np.zeros(1))
+    with pytest.raises(ValueError):
+        protoresolvent(f, op, lam, np.ones(1))
+    with pytest.raises(ValueError):
+        radius_search(f, op, lam, np.ones(1), ss_form(0.5, 1.0))
+
+
+def test_certificate_rejects_nan_residual():
+    # a NaN candidate must fail the certificate, not pass it by comparison
+    from proxlab.errors import SolverError
+    from proxlab.numerics import DEFAULT_TOLERANCES
+    from proxlab.resolvent import _certify
+    with pytest.raises(SolverError):
+        _certify(euclidean(1), SubdiffAbs(1.0, np.zeros(1)), 1.0, np.ones(1),
+                 np.array([np.nan]), DEFAULT_TOLERANCES)
+
+
+def test_radius_search_nan_form_is_not_strongly_implicit():
+    f, op = euclidean(1), SubdiffAbs(1.0, np.zeros(1))
+    with pytest.raises(StrongImplicitnessFailure):
+        radius_search(f, op, 1.0, np.array([2.0]), ss_form(np.nan, 1.0))
