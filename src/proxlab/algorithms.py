@@ -266,15 +266,19 @@ def ips_nu(sigma: float, rho: float, lam_hat: float) -> float:
     radicand = sigma + (1.0 - sigma) * ratio ** 2
     if not radicand >= 0.0:
         raise ValueError(f"negative radicand {radicand} in nu formula")
-    return (np.sqrt(radicand) - ratio) / (1.0 + ratio)
+    nu = (np.sqrt(radicand) - ratio) / (1.0 + ratio)
+    if nu < 0.0:
+        raise ValueError(f"nu = {nu:.4g} < 0 for sigma={sigma}, rho={rho}, lambda_hat={lam_hat}: "
+                         "no error would be accepted")
+    return nu
 
 
 def ips_step(op: MonotoneOp, lam: float, nu: float, x, eta, tolerances=None) -> StepResult:
     """Subspace-constrained relative-error step; caller projects eta onto Z."""
     if not 0.0 < lam < np.inf:
         raise ValueError("lam must be positive")
-    if not np.isfinite(nu):
-        raise ValueError("nu must be finite")
+    if not 0.0 <= nu < np.inf:
+        raise ValueError("nu must be nonnegative and finite")
     return _ips_step(op, lam, nu, as_vector(x, op.dim), as_vector(eta, op.dim),
                      tolerances or DEFAULT_TOLERANCES)
 
@@ -552,8 +556,8 @@ class RunSpec:
         for part in [self.f, *self.all_ops]:
             if part.dim != self.dim:
                 raise DimensionMismatch(f"x0 has dimension {self.dim} but {part!r} has {part.dim}")
-        if not (0.0 <= self.sigma < np.inf and np.isfinite(self.nu) and np.isfinite(self.tau)):
-            raise ConfigError("sigma must be nonnegative and finite, nu and tau finite")
+        if not (0.0 <= self.sigma < np.inf and 0.0 <= self.nu < np.inf and np.isfinite(self.tau)):
+            raise ConfigError("sigma and nu must be nonnegative and finite, tau finite")
         if self.radius_probes < 1:
             raise ConfigError("radius_probes must be at least 1")
         if self.z_basis is not None:
@@ -596,7 +600,10 @@ def _shrink_until_accepted(step_fn, eta, max_shrink=60):
             return result, current, attempts
         current = 0.5 * current
     current = np.zeros_like(current)
-    return step_fn(current), current, max_shrink
+    result = step_fn(current)
+    if result.status == "reject":
+        raise SolverError("the step rejects even the zero error")
+    return result, current, max_shrink
 
 
 #  per-scheme adapters.  For iteration n at x each returns the step parameter,

@@ -11,12 +11,16 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch
-from .numerics import SpdMetric, as_vector, pairing
+from .numerics import SpdMetric, as_vector, pairing, row_norm
 
 
 class LegendreFn:
     """Base class: value/gradient/gradient-inverse plus conjugacy helpers.
-    The methods take length-`dim` float vectors and do not check them."""
+    The methods take length-`dim` float vectors and do not check them;
+    `gradient` and `grad_inverse` also take (k, dim) rows, one result per row.
+    A row gets the bits of the single-vector call, except that the power
+    kinds raise row norms to powers with numpy's array power, which can differ
+    from the scalar power by an ulp."""
 
     kind = "abstract"
     dim: int
@@ -146,17 +150,11 @@ class PowerEuclidean(LegendreFn):
 
     def gradient(self, x):
         x = np.asarray(x, dtype=float)
-        n = np.linalg.norm(x)
-        if n == 0.0:
-            return np.zeros(self.dim)
-        return n ** (self.rho - 2.0) * x
+        return _radial(row_norm(x), self.rho - 2.0, x)
 
     def grad_inverse(self, u):
         u = np.asarray(u, dtype=float)
-        n = np.linalg.norm(u)
-        if n == 0.0:
-            return np.zeros(self.dim)
-        return n ** ((2.0 - self.rho) / (self.rho - 1.0)) * u
+        return _radial(row_norm(u), (2.0 - self.rho) / (self.rho - 1.0), u)
 
     def closed_form_conjugate(self, u):
         rho_star = self.rho / (self.rho - 1.0)
@@ -188,31 +186,32 @@ class PowerP(LegendreFn):
         self.rho = float(rho)
         self.dim = int(dim)
 
-    def _pnorm(self, x) -> float:
-        return float(np.sum(np.abs(x) ** self.p) ** (1.0 / self.p))
+    @staticmethod
+    def _norm(x, p):
+        """||x||_p over the last axis: a float for one vector, an array for rows."""
+        s = np.sum(np.abs(x) ** p, axis=-1)
+        return float(s ** (1.0 / p)) if s.ndim == 0 else s ** (1.0 / p)
 
     def value(self, x) -> float:
-        return self._pnorm(x) ** self.rho / self.rho
+        return self._norm(x, self.p) ** self.rho / self.rho
 
     def gradient(self, x):
-        n = self._pnorm(x)
-        if n == 0.0:
-            return np.zeros(self.dim)
-        return n ** (self.rho - self.p) * np.sign(x) * np.abs(x) ** (self.p - 1.0)
+        x = np.asarray(x, dtype=float)
+        return _radial(self._norm(x, self.p), self.rho - self.p, np.sign(x) * np.abs(x) ** (self.p - 1.0))
 
     def grad_inverse(self, u):
+        u = np.asarray(u, dtype=float)
         q = self.p / (self.p - 1.0)
-        nq = float(np.sum(np.abs(u) ** q) ** (1.0 / q))
-        if nq == 0.0:
-            return np.zeros(self.dim)
+        # n = ||u||_q^(1/(rho-1)) enters as n^((p-rho)/(p-1))
+        nq = self._norm(u, q)
         n = nq ** (1.0 / (self.rho - 1.0))
-        return np.sign(u) * np.abs(u) ** (1.0 / (self.p - 1.0)) * n ** ((self.p - self.rho) / (self.p - 1.0))
+        return _radial(n, (self.p - self.rho) / (self.p - 1.0),
+                       np.sign(u) * np.abs(u) ** (1.0 / (self.p - 1.0)), zero=nq)
 
     def closed_form_conjugate(self, u):
         q = self.p / (self.p - 1.0)
         rho_star = self.rho / (self.rho - 1.0)
-        nq = float(np.sum(np.abs(u) ** q) ** (1.0 / q))
-        return nq ** rho_star / rho_star
+        return self._norm(u, q) ** rho_star / rho_star
 
     def coord_grad(self, i, t):
         if self.dim != 1:
@@ -221,6 +220,16 @@ class PowerP(LegendreFn):
 
     def spec_string(self):
         return f"powerp:p={self.p!r},rho={self.rho!r}"
+
+
+def _radial(n, exponent, v, zero=None):
+    """n^exponent v for one vector (n a float) or for each row (n an array),
+    and 0 where the norm `zero` (n itself by default) vanishes."""
+    zero = n if zero is None else zero
+    if np.ndim(n) == 0:
+        return n ** exponent * v if zero != 0.0 else np.zeros_like(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((zero != 0.0)[:, None], (n ** exponent)[:, None] * v, 0.0)
 
 
 def euclidean(dim) -> QuadraticForm:

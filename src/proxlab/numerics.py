@@ -6,7 +6,9 @@ its dual share a representation and only parameter names convey the role.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +45,22 @@ def require_finite(v, name="vector"):
     return v
 
 
+def row_dot(a, b):
+    """<a, b> over the last axis: a float for two vectors, an array for the
+    rows of (k, dim) stacks.  Each pair runs np.dot's kernel, so a row gets
+    the same bits as the single-vector np.dot."""
+    if a.ndim == 1 and b.ndim == 1:
+        return float(np.dot(a, b))
+    # matmul hands each (1, dim) @ (dim, 1) pair to the dot kernel
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def row_norm(v):
+    """Euclidean norm over the last axis, bit for bit np.linalg.norm per vector."""
+    sq = row_dot(v, v)
+    return math.sqrt(sq) if v.ndim == 1 else np.sqrt(sq)
+
+
 def pairing(a, b) -> float:
     """Duality pairing <a, b> = sum a_i b_i (Euclidean in finite dimension)."""
     if len(a) != len(b):
@@ -55,7 +73,8 @@ class SpdMetric:
 
     The SPD check is factorization-based: construction fails exactly when the
     (symmetrized) matrix is not positive definite.  The methods take trusted
-    length-`dim` vectors and do not check them.
+    length-`dim` vectors, or (k, dim) stacks of them, and do not check them;
+    each row gets the same bits as the single-vector call.
     """
 
     def __init__(self, matrix):
@@ -82,29 +101,33 @@ class SpdMetric:
     def diagonal(cls, diag):
         return cls(np.diag(np.asarray(diag, dtype=float)))
 
-    @property
+    # read-only matrix, so each flag is computed once, on first use (the run
+    # loop builds a fresh metric per step and reads at most one flag)
+    @cached_property
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.matrix, np.eye(self.dim)))
 
-    @property
+    @cached_property
     def is_diagonal(self) -> bool:
         return bool(np.count_nonzero(self.matrix - np.diag(np.diagonal(self.matrix))) == 0)
 
     def apply(self, w):
-        return self.matrix @ w
+        return (self.matrix @ np.asarray(w)[..., None])[..., 0]
 
     def solve(self, b):
         """Solve M x = b through the cached factor."""
-        z = np.linalg.solve(self._chol, b)
-        return np.linalg.solve(self._chol.T, z)
+        z = np.linalg.solve(self._chol, np.asarray(b)[..., None])
+        return np.linalg.solve(self._chol.T, z)[..., 0]
 
     def norm(self, w) -> float:
         """||w||_M = sqrt(<Mw, w>)."""
         return float(np.sqrt(max(pairing(self.apply(w), w), 0.0)))
 
-    def inv_norm(self, w) -> float:
+    def inv_norm(self, w):
         """||w||_{M^{-1}} = sqrt(<M^{-1}w, w>)."""
-        return float(np.sqrt(max(pairing(self.solve(w), w), 0.0)))
+        w = np.asarray(w)
+        sq = np.maximum(row_dot(self.solve(w), w), 0.0)
+        return float(np.sqrt(sq)) if w.ndim == 1 else np.sqrt(sq)
 
     def __repr__(self):
         return f"SpdMetric(dim={self.dim})"

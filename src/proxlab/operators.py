@@ -3,7 +3,9 @@
 Values are never materialized as sets: every catalog kind evaluates to an
 axis-aligned box (a product of closed intervals, possibly unbounded), which
 makes membership distances, min/max selections, kinks, and Minkowski sums of
-values exact.  All interaction goes through residual oracles.
+values exact.  All interaction goes through residual oracles.  The value
+oracle takes one vector or the rows of a (k, dim) array; a row gets the bits
+of the single-vector call.
 """
 
 from __future__ import annotations
@@ -12,23 +14,28 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyOperatorValue
 from .legendre import _parse_kv_list
-from .numerics import as_vector, halton_points, pairing
+from .numerics import as_vector, halton_points, row_dot, row_norm
 
 
 class ValueBox:
-    """Axis-aligned box lo <= v <= hi (entries may be +-inf)."""
+    """Axis-aligned box lo <= v <= hi (entries may be +-inf), or one box per
+    row of a (k, dim) batch.  `empty` masks the rows where the operator value
+    is empty; their lo and hi are NaN."""
 
-    __slots__ = ("lo", "hi")
+    __slots__ = ("lo", "hi", "empty")
 
-    def __init__(self, lo, hi):
+    def __init__(self, lo, hi, empty=False):
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
+        self.empty = empty
 
     def nearest(self, xi):
         return np.clip(xi, self.lo, self.hi)
 
-    def distance(self, xi) -> float:
-        return float(np.linalg.norm(xi - self.nearest(xi)))
+    def distance(self, xi):
+        """Distance from xi to the box, per row; +inf on empty rows."""
+        d = row_norm(xi - self.nearest(xi))
+        return np.where(self.empty, np.inf, d) if np.ndim(d) else d
 
     def support_argmin(self, direction):
         """Minimizer of <v, direction> over the box; +-inf entries allowed."""
@@ -37,7 +44,8 @@ class ValueBox:
 
 class MonotoneOp:
     """Base class. Subclasses fill in value boxes and the coordinate view.
-    The oracles take length-`dim` float vectors and do not check them."""
+    The oracles take length-`dim` float vectors, or (k, dim) rows, and do not
+    check them."""
 
     kind = "abstract"
     dim: int
@@ -45,17 +53,19 @@ class MonotoneOp:
     #  value oracle
 
     def value_box(self, y) -> ValueBox:
-        lows = np.empty(self.dim)
-        highs = np.empty(self.dim)
-        for i in range(self.dim):
-            lows[i], highs[i] = self.coord_box(i, y[i])
-        return ValueBox(lows, highs)
-
-    def coord_box(self, i: int, t: float):
+        """A(y) as a box, or one box per row of a (k, dim) array.  A single
+        vector with an empty value raises EmptyOperatorValue; rows report
+        empty values in the box's `empty` mask."""
         raise NotImplementedError
 
-    def membership_residual(self, y, xi) -> float:
-        """Exact distance from xi to A(y); raises if A(y) is empty."""
+    def coord_box(self, i: int, t: float):
+        """(lo, hi) of the i-th coordinate of A at a scalar t, for the
+        separable bisection."""
+        raise NotImplementedError
+
+    def membership_residual(self, y, xi):
+        """Exact distance from xi to A(y); raises if A(y) is empty (per row
+        for rows, +inf on an empty row)."""
         return self.value_box(y).distance(xi)
 
     #  structure used by the inclusion solvers
@@ -68,8 +78,10 @@ class MonotoneOp:
         """Points where the i-th coordinate map is set-valued or jumps."""
         return ()
 
-    def domain_interval(self, i: int):
-        """Closed interval of admissible i-th coordinates (whole line by default)."""
+    @property
+    def domain(self):
+        """Per-coordinate bounds (lo, hi) of the admissible points, closed;
+        scalars when every coordinate ranges over the whole line."""
         return (-np.inf, np.inf)
 
     def as_affine(self):
@@ -109,11 +121,8 @@ class MonotoneOp:
         return pts
 
     def _clamp_to_domain(self, y):
-        out = np.array(y, dtype=float)
-        for i in range(self.dim):
-            lo, hi = self.domain_interval(i)
-            out[i] = min(max(out[i], lo), hi)
-        return out
+        lo, hi = self.domain
+        return np.clip(np.asarray(y, dtype=float), lo, hi)
 
     def spec_string(self) -> str:
         raise NotImplementedError
@@ -135,6 +144,10 @@ class SubdiffAbs(MonotoneOp):
             shift = np.full(dim, float(shift))
         self.shift = as_vector(shift, dim)
         self.dim = self.shift.shape[0]
+
+    def value_box(self, y):
+        w = self.weight
+        return ValueBox(np.where(y > self.shift, w, -w), np.where(y < self.shift, -w, w))
 
     def coord_box(self, i, t):
         s, w = self.shift[i], self.weight
@@ -176,7 +189,8 @@ class Affine(MonotoneOp):
         self._separable = bool(np.count_nonzero(m - np.diag(np.diagonal(m))) == 0)
 
     def value_box(self, y):
-        v = self.matrix @ y + self.offset
+        # one matrix-vector product per row, each with the single-vector bits
+        v = (self.matrix @ np.asarray(y)[..., None])[..., 0] + self.offset
         return ValueBox(v, v)
 
     def coord_box(self, i, t):
@@ -216,6 +230,20 @@ class NormalConeBox(MonotoneOp):
             raise ValueError("box requires lower <= upper")
         self.dim = self.lower.shape[0]
 
+    def value_box(self, y):
+        y = np.asarray(y)
+        outside = (y < self.lower) | (y > self.upper)
+        empty = outside.any(axis=-1)
+        if y.ndim == 1 and empty:
+            i = int(np.argmax(outside))
+            raise EmptyOperatorValue(f"empty operator value: coordinate {i} = {y[i]} "
+                                     f"outside [{self.lower[i]}, {self.upper[i]}]")
+        lo = np.where(y == self.lower, -np.inf, 0.0)
+        hi = np.where(y == self.upper, np.inf, 0.0)
+        if empty.any():
+            lo[empty] = hi[empty] = np.nan
+        return ValueBox(lo, hi, empty)
+
     def coord_box(self, i, t):
         lo, hi = self.lower[i], self.upper[i]
         if t < lo or t > hi:
@@ -232,8 +260,9 @@ class NormalConeBox(MonotoneOp):
     def coord_kinks(self, i):
         return (self.lower[i], self.upper[i])
 
-    def domain_interval(self, i):
-        return (self.lower[i], self.upper[i])
+    @property
+    def domain(self):
+        return (self.lower, self.upper)
 
     def spec_string(self):
         return ("box:" + ",".join(repr(float(v)) for v in self.lower)
@@ -242,7 +271,8 @@ class NormalConeBox(MonotoneOp):
 
 class GradientOfConvex(MonotoneOp):
     """Gradient of a smooth convex function from a small closed catalog;
-    `gradient` and `hessian` take length-`dim` float vectors unchecked.
+    `gradient` and `hessian` take length-`dim` float vectors unchecked, and
+    `gradient` also takes (k, dim) rows.
 
     profiles: 'logcosh'  F = w sum log cosh(t - s)   (separable, bounded slope)
               'quartic'  F = w sum (t - s)^4 / 4      (separable)
@@ -270,7 +300,7 @@ class GradientOfConvex(MonotoneOp):
             return self.weight * np.tanh(d)
         if self.profile == "quartic":
             return self.weight * d ** 3
-        return self.weight * float(np.dot(d, d)) * d
+        return self.weight * np.asarray(row_dot(d, d))[..., None] * d
 
     def hessian(self, y):
         d = y - self.shift
@@ -321,7 +351,7 @@ class Scaled(MonotoneOp):
 
     def value_box(self, y):
         box = self.inner.value_box(y)
-        return ValueBox(self.lam * box.lo, self.lam * box.hi)
+        return ValueBox(self.lam * box.lo, self.lam * box.hi, box.empty)
 
     @property
     def separable(self):
@@ -330,8 +360,9 @@ class Scaled(MonotoneOp):
     def coord_kinks(self, i):
         return self.inner.coord_kinks(i)
 
-    def domain_interval(self, i):
-        return self.inner.domain_interval(i)
+    @property
+    def domain(self):
+        return self.inner.domain
 
     def as_affine(self):
         base = self.inner.as_affine()
@@ -370,6 +401,11 @@ class OperatorSum(MonotoneOp):
             if t.dim != self.dim:
                 raise DimensionMismatch("sum terms live in different dimensions")
         self.terms = terms
+        lo, hi = np.full(self.dim, -np.inf), np.full(self.dim, np.inf)
+        for t in terms:
+            tlo, thi = t.domain
+            lo, hi = np.maximum(lo, tlo), np.minimum(hi, thi)
+        self._domain = (lo, hi)
 
     def coord_box(self, i, t):
         lo = hi = 0.0
@@ -381,10 +417,11 @@ class OperatorSum(MonotoneOp):
     def value_box(self, y):
         lo = np.zeros(self.dim)
         hi = np.zeros(self.dim)
+        empty = False
         for term in self.terms:
             box = term.value_box(y)
-            lo, hi = lo + box.lo, hi + box.hi
-        return ValueBox(lo, hi)
+            lo, hi, empty = lo + box.lo, hi + box.hi, empty | box.empty
+        return ValueBox(lo, hi, empty)
 
     @property
     def separable(self):
@@ -396,12 +433,9 @@ class OperatorSum(MonotoneOp):
             ks.extend(t.coord_kinks(i))
         return tuple(sorted(set(ks)))
 
-    def domain_interval(self, i):
-        lo, hi = -np.inf, np.inf
-        for t in self.terms:
-            tlo, thi = t.domain_interval(i)
-            lo, hi = max(lo, tlo), min(hi, thi)
-        return (lo, hi)
+    @property
+    def domain(self):
+        return self._domain
 
     def as_affine(self):
         m = np.zeros((self.dim, self.dim))
@@ -433,19 +467,17 @@ def enlargement_residual(op: MonotoneOp, eps, y, xi, witness_budget=256, halfwid
         raise ValueError("enlargement parameter must be nonnegative")
     y = as_vector(y, op.dim)
     xi = as_vector(xi, op.dim)
-    grid = halton_points(witness_budget, op.dim)
-    worst = 0.0
-    for row in grid:
-        xp = op._clamp_to_domain(y + halfwidth * (2.0 * row - 1.0))
-        box = op.value_box(xp)
-        direction = xp - y
-        sel = box.support_argmin(direction)
-        if not np.all(np.isfinite(sel)):
-            # an unbounded ray makes the inner product arbitrarily negative
-            return np.inf
-        violation = -eps - pairing(sel - xi, direction)
-        worst = max(worst, violation)
-    return worst
+    # one witness per row of the grid
+    xp = op._clamp_to_domain(y + halfwidth * (2.0 * halton_points(witness_budget, op.dim) - 1.0))
+    box = op.value_box(xp)
+    if np.any(box.empty):
+        op.value_box(xp[np.argmax(box.empty)])  # raises EmptyOperatorValue for that witness
+    direction = xp - y
+    sel = box.support_argmin(direction)
+    if not np.all(np.isfinite(sel)):
+        # an unbounded ray makes the inner product arbitrarily negative
+        return np.inf
+    return float(np.max(-eps - row_dot(sel - xi, direction), initial=0.0))
 
 
 def zero_residual(op: MonotoneOp, f, lam, x, tolerances=None) -> float:

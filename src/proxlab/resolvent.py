@@ -4,7 +4,9 @@ The protoresolvent w -> (grad f + lam A)^{-1}(w) is single-valued and globally
 defined for every catalog pairing; strict monotonicity of grad f + lam A makes
 monotone bracketing sound, which is what the generic 1-D strategy relies on.
 Every strategy certifies its output against the residual
-||grad f(y) + lam xi_hat - w|| before returning.
+||grad f(y) + lam xi_hat - w|| before returning.  The closed forms, the
+certificate, the verification and the score forms also run over the rows of
+a (k, dim) array, which is how a radius-search level is solved.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .errors import EmptyOperatorValue, NoStrategy, SolverError, StrongImplicitnessFailure
 from .legendre import LegendreFn, QuadraticForm
-from .numerics import DEFAULT_TOLERANCES, as_vector, require_finite, unit_directions
+from .numerics import DEFAULT_TOLERANCES, as_vector, require_finite, row_norm, unit_directions
 from .operators import MonotoneOp
 
 
@@ -58,8 +60,8 @@ class VerificationReport:
     linear_pass: bool
 
     @property
-    def passed(self) -> bool:
-        return self.membership_pass and self.linear_pass
+    def passed(self):
+        return self.membership_pass & self.linear_pass
 
 
 #  scalar strategy: kink candidates + monotone bisection
@@ -72,9 +74,7 @@ def _coord_residual(f, op, i, lam, w, t):
     return g + lam * a - w
 
 
-def _solve_coord(f, op, i, lam, w):
-    dlo, dhi = op.domain_interval(i)
-
+def _solve_coord(f, op, i, lam, w, dlo, dhi):
     # candidate kinks and finite domain endpoints, tested exactly
     candidates = set(op.coord_kinks(i))
     for e in (dlo, dhi):
@@ -147,7 +147,8 @@ def _solve_coord(f, op, i, lam, w):
 
 
 def _solve_separable(f, op, lam, w):
-    return np.array([_solve_coord(f, op, i, lam, w[i]) for i in range(f.dim)])
+    dlo, dhi = (np.full(f.dim, bound) if np.ndim(bound) == 0 else bound for bound in op.domain)
+    return np.array([_solve_coord(f, op, i, lam, w[i], dlo[i], dhi[i]) for i in range(f.dim)])
 
 
 def _solve_newton(f, op, lam, w, tol):
@@ -175,21 +176,29 @@ def _solve_newton(f, op, lam, w, tol):
     raise SolverError("Newton did not converge", residual=float(np.linalg.norm(g)))
 
 
-def _certify(f, op, lam, w, y, tol):
+def _certificate(f, op, lam, w, y, tol):
+    """y clamped to the domain, its value box, the residual
+    ||grad f(y) + lam xi_hat - w|| (xi_hat the selection nearest
+    (w - grad f(y)) / lam) and the bound it must meet; per row for rows."""
     y = op._clamp_to_domain(y)
+    box = op.value_box(y)
+    gy = f.gradient(y)
+    residual = row_norm(gy + lam * box.nearest((w - gy) / lam) - w)
+    return y, box, residual, tol.inner_residual * (1.0 + row_norm(w))
+
+
+def _certify(f, op, lam, w, y, tol):
+    """(y, residual) for one vector, or SolverError if the certificate fails."""
     try:
-        box = op.value_box(y)
+        y, _, residual, bound = _certificate(f, op, lam, w, y, tol)
     except EmptyOperatorValue as exc:
         raise SolverError(f"solution left the operator domain: {exc}", residual=np.inf)
-    xi_hat = box.nearest((w - f.gradient(y)) / lam)
-    residual = float(np.linalg.norm(f.gradient(y) + lam * xi_hat - w))
-    bound = tol.inner_residual * (1.0 + float(np.linalg.norm(w)))
     if not residual <= bound:
         raise SolverError(
             f"protoresolvent certificate failed: residual {residual:.3e} > {bound:.3e}",
             residual=residual,
         )
-    return y
+    return y, residual
 
 
 def protoresolvent(f: LegendreFn, op: MonotoneOp, lam: float, w, tolerances=None):
@@ -199,29 +208,44 @@ def protoresolvent(f: LegendreFn, op: MonotoneOp, lam: float, w, tolerances=None
 
 
 def _protoresolvent(f, op, lam, w, tol):
-    return _certify(f, op, lam, w, _strategy(f, op, lam, w, tol), tol)
+    return _certify(f, op, lam, w, _strategy(f, op, lam, w, tol), tol)[0]
 
 
-def _strategy(f, op, lam, w, tol):
-    """The first strategy that fits the pairing; its y is certified by the caller."""
+def _closed_form(f, op, lam):
+    """w -> y for the closed-form pairings, over one vector or the rows of a
+    (k, dim) array (each row with the bits of the single-vector call); None
+    for the other pairings."""
     affine = op.as_affine()
     if affine is not None:
         m, b = affine
         if isinstance(f, QuadraticForm):
-            return np.linalg.solve(f.metric.matrix + lam * m, w - lam * b)
+            a = f.metric.matrix + lam * m
+            # a stacked solve: one LAPACK call, and per row the single-vector bits
+            return lambda w: np.linalg.solve(a, (w - lam * b)[..., None])[..., 0]
         if not np.any(m):
             # constant operator: reduces to the gradient inverse
-            return f.grad_inverse(w - lam * b)
+            return lambda w: f.grad_inverse(w - lam * b)
 
-    identity_f = isinstance(f, QuadraticForm) and f.is_identity
-    if identity_f:
+    if isinstance(f, QuadraticForm) and f.is_identity:
         abs_form = op.as_subdiff_abs()
         if abs_form is not None:
             weight, shift = abs_form
-            d = w - shift
-            return shift + np.sign(d) * np.maximum(np.abs(d) - lam * weight, 0.0)
-        if op.smooth_gradient() is not None:
-            return _solve_newton(f, op, lam, w, tol)
+
+            def soft_threshold(w):
+                d = w - shift
+                return shift + np.sign(d) * np.maximum(np.abs(d) - lam * weight, 0.0)
+            return soft_threshold
+    return None
+
+
+def _strategy(f, op, lam, w, tol):
+    """The first strategy that fits the pairing; its y is certified by the caller."""
+    closed = _closed_form(f, op, lam)
+    if closed is not None:
+        return closed(w)
+
+    if isinstance(f, QuadraticForm) and f.is_identity and op.smooth_gradient() is not None:
+        return _solve_newton(f, op, lam, w, tol)
 
     if f.separable and op.separable:
         return _solve_separable(f, op, lam, w)
@@ -229,6 +253,26 @@ def _strategy(f, op, lam, w, tol):
     raise NoStrategy(
         f"no solver strategy for f={f.spec_string()} with A={op.spec_string()} in dim {f.dim}"
     )
+
+
+def _strategy_rows(f, op, lam, tol):
+    """w -> (y, errors) over the rows of a (k, dim) array.  The closed forms
+    take all rows in one pass; any other pairing solves row by row through
+    _strategy, and a row whose solve raises SolverError is left NaN with its
+    error kept under the row index."""
+    closed = _closed_form(f, op, lam)
+    if closed is not None:
+        return lambda w: (closed(w), {})
+
+    def by_row(w):
+        y, errors = np.empty_like(w), {}
+        for j, row in enumerate(w):
+            try:
+                y[j] = _strategy(f, op, lam, row, tol)
+            except SolverError as exc:
+                y[j], errors[j] = np.nan, exc
+        return y, errors
+    return by_row
 
 
 def solve_inclusion(inst: InclusionInstance, tolerances=None) -> InclusionSolution:
@@ -239,9 +283,8 @@ def solve_inclusion(inst: InclusionInstance, tolerances=None) -> InclusionSoluti
 
 def _solve(f, op, lam, eta, gx, tol):
     w = lam * eta + gx  # gx = grad f(x)
-    y = _protoresolvent(f, op, lam, w, tol)
+    y, residual = _certify(f, op, lam, w, _strategy(f, op, lam, w, tol), tol)
     xi = eta - (f.gradient(y) - gx) / lam
-    residual = float(np.linalg.norm(f.gradient(y) + lam * op.value_box(y).nearest(xi) - w))
     return InclusionSolution(y=y, xi=xi, inner_residual=residual)
 
 
@@ -253,16 +296,17 @@ def verify_solution(inst: InclusionInstance, y, xi, tolerances=None) -> Verifica
 
 
 def _verify(f, op, lam, eta, gx, y, xi, tol):
+    """The report for one candidate, or a report of per-row arrays for rows."""
     try:
         membership = op.membership_residual(y, xi)
     except EmptyOperatorValue:
         membership = np.inf
-    linear = float(np.linalg.norm(eta - xi - (f.gradient(y) - gx) / lam))
+    linear = row_norm(eta - xi - (f.gradient(y) - gx) / lam)
     return VerificationReport(
         membership_residual=membership,
         linear_residual=linear,
         membership_pass=membership <= tol.membership,
-        linear_pass=linear <= tol.inner_residual * (1.0 + float(np.linalg.norm(eta))),
+        linear_pass=linear <= tol.inner_residual * (1.0 + row_norm(eta)),
     )
 
 
@@ -300,7 +344,9 @@ def holder_certify(f, op, lam, rho, beta, samples=10_000, seed=0, scale=3.0, tol
 
 @dataclass(frozen=True)
 class StronglyImplicitSpec:
-    """A (Phi, Psi) pair from the closed catalog of score forms."""
+    """A (Phi, Psi) pair from the closed catalog of score forms.  Both take
+    (eta, xi, x, y) and reduce over the last axis, so they score one
+    candidate or every row of a level at once."""
 
     phi: callable
     psi: callable
@@ -310,8 +356,8 @@ class StronglyImplicitSpec:
 def ss_form(sigma, mu) -> StronglyImplicitSpec:
     """Phi = ||eta||, Psi = sigma max{||xi||, mu ||y - x||}."""
     return StronglyImplicitSpec(
-        phi=lambda eta, xi, x, y: float(np.linalg.norm(eta)),
-        psi=lambda eta, xi, x, y: sigma * max(float(np.linalg.norm(xi)), mu * float(np.linalg.norm(y - x))),
+        phi=lambda eta, xi, x, y: row_norm(eta),
+        psi=lambda eta, xi, x, y: sigma * np.maximum(row_norm(xi), mu * row_norm(y - x)),
         label=f"ss(sigma={sigma},mu={mu})",
     )
 
@@ -319,8 +365,8 @@ def ss_form(sigma, mu) -> StronglyImplicitSpec:
 def ips_form(nu, lam) -> StronglyImplicitSpec:
     """Phi = lam ||eta|| (the scheme-side error norm), Psi = nu ||y - x||."""
     return StronglyImplicitSpec(
-        phi=lambda eta, xi, x, y: lam * float(np.linalg.norm(eta)),
-        psi=lambda eta, xi, x, y: nu * float(np.linalg.norm(y - x)),
+        phi=lambda eta, xi, x, y: lam * row_norm(eta),
+        psi=lambda eta, xi, x, y: nu * row_norm(y - x),
         label=f"ips(nu={nu},lam={lam})",
     )
 
@@ -347,8 +393,11 @@ def radius_search(f, op, lam, x, spec: StronglyImplicitSpec, probes=64, r0=None,
     solves the inclusion system with Phi < Psi strictly.
 
     Certified by sampling only: the halving schedule finds the first passing
-    level and a bisection sharpens the pass/fail boundary.  Returns 0.0 when
-    the budget is exhausted without a passing level.  In more than one
+    level and a bisection sharpens the pass/fail boundary.  Each level solves,
+    certifies, verifies and scores its probes x magnitudes rows in one batched
+    pass and fails at its first failing row in probe order; if that row failed
+    its certificate, the row's SolverError is raised.  Returns 0.0 when the
+    budget is exhausted without a passing level.  In more than one
     dimension the probed directions cannot cover the sphere, so the result may
     overestimate the true uniform radius; probes are drawn over the whole
     space (no smaller open neighbourhood is modelled).
@@ -371,18 +420,28 @@ def radius_search(f, op, lam, x, spec: StronglyImplicitSpec, probes=64, r0=None,
             f"strong implicitness fails at 0: psi(0) - phi(0) = {theta0:.3e}"
         )
 
-    directions = unit_directions(probes, f.dim, seed)
+    directions = np.array(unit_directions(probes, f.dim, seed))
+    scales = np.asarray(magnitudes, dtype=float)
+    solve_rows = _strategy_rows(f, op, lam, tol)
 
     def level_passes(r):
-        for d in directions:
-            for m in magnitudes:
-                eta = (m * r) * d
-                sol = _solve(f, op, lam, eta, gx, tol)
-                if not _verify(f, op, lam, eta, gx, sol.y, sol.xi, tol).passed:
-                    return False
-                if not spec.phi(eta, sol.xi, x, sol.y) < spec.psi(eta, sol.xi, x, sol.y):
-                    return False
-        return True
+        # rows are direction-major, magnitude-minor: the probe order
+        eta = ((scales * r)[None, :, None] * directions[:, None, :]).reshape(-1, f.dim)
+        w = lam * eta + gx
+        y, errors = solve_rows(w)
+        y, box, residual, bound = _certificate(f, op, lam, w, y, tol)
+        certified = ~box.empty & (residual <= bound)
+        xi = eta - (f.gradient(y) - gx) / lam
+        ok = (certified & _verify(f, op, lam, eta, gx, y, xi, tol).passed
+              & (spec.phi(eta, xi, x, y) < spec.psi(eta, xi, x, y)))
+        if ok.all():
+            return True
+        j = int(np.argmin(ok))  # the first failing row
+        if not certified[j]:
+            if j in errors:
+                raise errors[j]
+            _certify(f, op, lam, w[j], y[j], tol)  # raises this row's certificate error
+        return False
 
     r = r0 if r0 is not None else 1.0 + float(np.linalg.norm(x))
     level = 0

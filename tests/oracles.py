@@ -63,3 +63,80 @@ def ss_radius_grid_oracle(x, sigma, mu, shift=0.0, r_max=2.0, points=200_000):
         if not (accepted(probe) and accepted(-probe)):
             return r
     return r_max
+
+
+def radius_search_scalar(f, op, lam, x, spec, probes=64, r0=None, halving_depth=40,
+                         refine_depth=24, magnitudes=(0.999, 0.75, 0.5, 0.25, 0.05),
+                         seed=0, tolerances=None):
+    """radius_search with its levels run one probe at a time through the
+    single-vector cores, stopping at the first failing probe."""
+    from proxlab.errors import StrongImplicitnessFailure
+    from proxlab.numerics import DEFAULT_TOLERANCES, unit_directions
+    from proxlab.resolvent import _protoresolvent, _solve, _verify
+
+    tol = tolerances or DEFAULT_TOLERANCES
+    gx = f.gradient(x)
+    y0 = _protoresolvent(f, op, lam, gx, tol)
+    xi0 = -(f.gradient(y0) - gx) / lam
+    zero = np.zeros(f.dim)
+    theta0 = spec.psi(zero, xi0, x, y0) - spec.phi(zero, xi0, x, y0)
+    if not theta0 > 0.0:
+        raise StrongImplicitnessFailure(f"psi(0) - phi(0) = {theta0:.3e}")
+    directions = unit_directions(probes, f.dim, seed)
+
+    def level_passes(r):
+        for d in directions:
+            for m in magnitudes:
+                eta = (m * r) * d
+                sol = _solve(f, op, lam, eta, gx, tol)
+                if not _verify(f, op, lam, eta, gx, sol.y, sol.xi, tol).passed:
+                    return False
+                if not spec.phi(eta, sol.xi, x, sol.y) < spec.psi(eta, sol.xi, x, sol.y):
+                    return False
+        return True
+
+    r = r0 if r0 is not None else 1.0 + float(np.linalg.norm(x))
+    level = 0
+    while level < halving_depth and not level_passes(r):
+        r *= 0.5
+        level += 1
+    if level == halving_depth:
+        return 0.0
+    if level == 0:
+        return r
+    lo, hi = r, 2.0 * r
+    for _ in range(refine_depth):
+        mid = 0.5 * (lo + hi)
+        if level_passes(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def coord_value_box(op, y):
+    """(lo, hi) of A(y) assembled one coordinate at a time from coord_box."""
+    lo, hi = np.empty(op.dim), np.empty(op.dim)
+    for i in range(op.dim):
+        lo[i], hi[i] = op.coord_box(i, y[i])
+    return lo, hi
+
+
+def enlargement_residual_scalar(op, eps, y, xi, witness_budget=256, halfwidth=1.0):
+    """enlargement_residual one witness at a time, with coordinate-wise
+    clamping and value boxes (separable operators only)."""
+    from proxlab.numerics import halton_points, pairing
+    from proxlab.operators import ValueBox
+
+    lo, hi = (np.broadcast_to(bound, op.dim) for bound in op.domain)
+    worst = 0.0
+    for row in halton_points(witness_budget, op.dim):
+        xp = y + halfwidth * (2.0 * row - 1.0)
+        for i in range(op.dim):
+            xp[i] = min(max(xp[i], lo[i]), hi[i])
+        direction = xp - y
+        sel = ValueBox(*coord_value_box(op, xp)).support_argmin(direction)
+        if not np.all(np.isfinite(sel)):
+            return np.inf
+        worst = max(worst, -eps - pairing(sel - xi, direction))
+    return worst

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from oracles import grid_argmin_1d
 from proxlab import algorithms as alg
 from proxlab.errors import (ConfigError, DimensionMismatch, InfeasibleProjection,
-                            UpdateUndefined)
+                            SolverError, UpdateUndefined)
 from proxlab.legendre import CoshSum, bregman_distance, euclidean
 from proxlab.numerics import SpdMetric
 from proxlab.operators import Affine, SubdiffAbs, identity_op
@@ -353,3 +353,23 @@ def test_run_spec_checks_dimensions():
         alg.RunSpec(scheme="ips", x0=np.ones(2), op=identity_op(2), z_basis=np.ones((1, 3)))
     with pytest.raises(ConfigError):
         alg.RunSpec(scheme="ss", x0=np.ones(2), op=identity_op(2), radius_probes=0)
+
+
+def test_negative_ips_nu_is_a_typed_error():
+    # sigma = 0.5, rho = 1, lambda_hat = 1 gives nu = -0.14, which rejected even
+    # the zero error and ended run() in an AttributeError
+    with pytest.raises(ValueError, match="sigma=0.5, rho=1.0, lambda_hat=1.0"):
+        alg.ips_nu(0.5, 1.0, 1.0)
+    abs1 = SubdiffAbs(1.0, np.zeros(1))
+    for nu in (-0.1, np.inf):
+        with pytest.raises(ValueError):
+            alg.ips_step(abs1, 1.0, nu, [2.0], [0.0])
+        with pytest.raises(ConfigError):
+            alg.RunSpec(scheme="ips", x0=[2.0], op=abs1, nu=nu)
+
+
+def test_shrink_fallback_rejecting_zero_is_a_solver_error():
+    def step(eta):
+        return alg.StepResult(status="reject", y=np.zeros(1))
+    with pytest.raises(SolverError, match="zero error"):
+        alg._shrink_until_accepted(step, [np.ones(1)], max_shrink=3)

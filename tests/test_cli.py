@@ -361,3 +361,20 @@ def test_prox_nan_lambda_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "prox", "--op", "abs:w=1", "--lam", "nan", "--x", "2")
     assert code == 1
     assert "lam" in err
+
+
+@pytest.mark.parametrize("params, field", [
+    ({"nu_from": {"sigma": 0.5, "rho": 1.0, "lambda_hat": 1.0}}, "scheme_params.nu_from"),
+    ({"nu": -0.1}, None),
+])
+def test_run_negative_ips_nu_exits_1(tmp_path, capsys, params, field):
+    # a negative nu used to reach the run loop and end in an AttributeError
+    cfg = _schema_config("ips", scheme_params=params, output_path=str(tmp_path / "t.csv"))
+    with pytest.raises(ConfigError) as info:
+        cli.build_run_inputs(cli.parse_config(cfg))
+    assert info.value.field == field
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(capsys, "run", str(path))
+    assert code == 1
+    assert "nu" in err

@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 
 from proxlab.errors import DimensionMismatch, NotSpd
 from oracles import halton_points_scalar
-from proxlab.numerics import SpdMetric, Tolerances, as_vector, halton_points, pairing, random_spd_matrix
+from proxlab.numerics import (SpdMetric, Tolerances, as_vector, halton_points, pairing,
+                              random_spd_matrix, row_dot, row_norm)
 
 
 def test_pairing_values():
@@ -103,3 +104,29 @@ def test_halton_extension_keeps_low_dims():
 @pytest.mark.parametrize("count, dim", [(256, 64), (64, 1)])
 def test_halton_matches_scalar_digit_expansion(count, dim):
     assert np.array_equal(halton_points(count, dim), halton_points_scalar(count, dim))
+
+
+@pytest.mark.parametrize("matrix, identity, diagonal", [
+    (np.eye(3), True, True),
+    (np.diag([1.0, 2.0, 3.0]), False, True),
+    (np.diag([1.0, 1.0, 1.0 + 1e-15]), False, True),
+    (random_spd_matrix(3, 0.5, 2.0, np.random.default_rng(0)), False, False),
+])
+def test_metric_structure_flags(matrix, identity, diagonal):
+    # cached on first read, from the read-only matrix
+    m = SpdMetric(matrix)
+    assert m.is_identity is identity and m.is_diagonal is diagonal
+    assert vars(m)["is_identity"] is identity and vars(m)["is_diagonal"] is diagonal
+    assert m.is_identity == bool(np.array_equal(m.matrix, np.eye(3)))
+    assert m.is_diagonal == bool(np.count_nonzero(m.matrix - np.diag(np.diagonal(m.matrix))) == 0)
+
+
+def test_metric_rows_match_single_vectors():
+    rng = np.random.default_rng(2)
+    for dim in (1, 3, 8):
+        m = SpdMetric(random_spd_matrix(dim, 0.5, 2.0, rng))
+        rows = rng.standard_normal((7, dim))
+        for method in (m.apply, m.solve, m.inv_norm):
+            assert np.array_equal(method(rows), np.array([method(r) for r in rows]))
+        assert np.array_equal(row_norm(rows), [np.linalg.norm(r) for r in rows])
+        assert np.array_equal(row_dot(rows, rows[::-1]), [np.dot(a, b) for a, b in zip(rows, rows[::-1])])

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import coord_value_box, enlargement_residual_scalar
 from proxlab.errors import DimensionMismatch, EmptyOperatorValue
 from proxlab.legendre import euclidean
+from proxlab.numerics import random_spd_matrix
 from proxlab.operators import (Affine, GradientOfConvex, NormalConeBox, OperatorSum,
                                Scaled, SubdiffAbs, enlargement_residual, identity_op,
                                parse_operator, zero_residual)
@@ -171,3 +173,65 @@ def test_box_spec_broadcast():
     assert op.dim == 3 and op.lower[2] == -1.0 and op.upper[0] == 1.0
     with pytest.raises(DimensionMismatch):
         parse_operator("box:-1,-1;1,1", 3)
+
+
+def _row_catalog(dim, rng):
+    box = NormalConeBox(-np.ones(dim), np.ones(dim))
+    return [
+        SubdiffAbs(0.7, rng.uniform(-1.0, 1.0, size=dim)),
+        Affine(np.diag(rng.uniform(0.5, 2.0, size=dim)), rng.uniform(-1.0, 1.0, size=dim)),
+        Affine(random_spd_matrix(dim, 0.5, 2.0, rng), rng.uniform(-1.0, 1.0, size=dim)),
+        box,
+        GradientOfConvex("logcosh", rng.uniform(-1.0, 1.0, size=dim), weight=1.5),
+        GradientOfConvex("quartic", rng.uniform(-1.0, 1.0, size=dim)),
+        GradientOfConvex("norm4", rng.uniform(-1.0, 1.0, size=dim)),
+        Scaled(0.5, box),
+        OperatorSum([SubdiffAbs(1.0, np.zeros(dim)), identity_op(dim), Scaled(2.0, box)]),
+    ]
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8])
+def test_row_value_box_stacks_single_vector_boxes(dim):
+    rng = np.random.default_rng(dim)
+    rows = rng.uniform(-1.5, 1.5, size=(12, dim))
+    rows[0] = 0.0                      # inside the box, on every abs kink
+    rows[1] = np.ones(dim)             # on the box's upper face
+    rows[2, 0] = -1.0                  # on a lower face
+    rows[3, -1] = 4.0                  # outside the box
+    rows[4] = rng.uniform(-0.9, 0.9, size=dim)  # strictly inside
+    xi = rng.uniform(-2.0, 2.0, size=rows.shape)
+    for op in _row_catalog(dim, rng):
+        box = op.value_box(rows)
+        empty = np.broadcast_to(box.empty, len(rows))
+        dist = op.membership_residual(rows, xi)
+        for j, row in enumerate(rows):
+            try:
+                single = op.value_box(row)
+            except EmptyOperatorValue:
+                assert empty[j] and dist[j] == np.inf
+                continue
+            assert not empty[j]
+            assert np.array_equal(box.lo[j], single.lo) and np.array_equal(box.hi[j], single.hi)
+            assert dist[j] == op.membership_residual(row, xi[j])
+            if isinstance(op, (SubdiffAbs, NormalConeBox)):  # their boxes were assembled by coordinate
+                assert np.array_equal(np.stack(coord_value_box(op, row)), np.stack((single.lo, single.hi)))
+    # a single vector outside the box still raises, naming the first coordinate outside
+    outside = np.zeros(dim)
+    outside[-1] = 4.0
+    with pytest.raises(EmptyOperatorValue, match=f"coordinate {dim - 1} = 4.0 outside"):
+        NormalConeBox(-np.ones(dim), np.ones(dim)).value_box(outside)
+
+
+@pytest.mark.parametrize("dim", [1, 8, 64])
+def test_enlargement_matches_per_witness_loop(dim):
+    ops = [SubdiffAbs(1.0, np.zeros(dim)), NormalConeBox(-0.5 * np.ones(dim), np.ones(dim)),
+           OperatorSum([SubdiffAbs(0.5, np.zeros(dim)), identity_op(dim)])]
+    y = np.linspace(-0.4, 0.4, dim)
+    for op in ops:
+        for axis in sorted({0, dim - 1}):
+            xi = np.zeros(dim)
+            xi[axis] = 100.0
+            for eps in (0.0, 0.3):
+                v = enlargement_residual(op, eps, y, xi)
+                assert v == enlargement_residual_scalar(op, eps, y, xi)
+            assert enlargement_residual(op, 0.0, y, xi) > 0.0
