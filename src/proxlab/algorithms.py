@@ -243,10 +243,10 @@ def _ss_step(op, mu, sigma, x, eta, tol):
     if np.linalg.norm(eta) > sigma * max(float(np.linalg.norm(xi)), mu * float(np.linalg.norm(y - x))):
         return StepResult(status="reject", y=y, xi=xi)
 
-    gap = float(np.linalg.norm(y - x))
     xi_norm = float(np.linalg.norm(xi))
-    if gap <= tol.zero_detect:
-        return StepResult(status="terminate", y=y, xi=xi, certified_zero=sigma < 1.0)
+    if float(np.linalg.norm(y - x)) <= tol.zero_detect:  # a zero only if the stop residual passes
+        return StepResult(status="terminate", y=y, xi=xi,
+                          certified_zero=_stop_residual([op], y, tol) <= tol.zero_detect)
     if xi_norm <= tol.zero_detect:
         if sigma >= 1.0:
             raise UpdateUndefined("update undefined: xi vanished away from the iterate with sigma >= 1")
@@ -316,7 +316,8 @@ def _pls_step(op, c, metric, sigma, tau, x, eta, tol):
         return StepResult(status="reject", y=y, xi=xi)
 
     if float(np.linalg.norm(y - x)) <= tol.zero_detect:
-        return StepResult(status="terminate", y=y, xi=xi, certified_zero=sigma < 1.0)
+        return StepResult(status="terminate", y=y, xi=xi,
+                          certified_zero=_stop_residual([op], y, tol) <= tol.zero_detect)
 
     denom = pairing(xi, metric.apply(xi))
     if denom <= 0.0:
@@ -328,82 +329,7 @@ def _pls_step(op, c, metric, sigma, tau, x, eta, tol):
 
 #  Bregman projection onto an intersection of halfspaces
 
-def _euclidean_project(halfspaces, x):
-    """Exact active-set projection for f = ||.||^2 / 2 (unit-normal halfspaces)."""
-    m = len(halfspaces)
-    a_mat = np.array([a for a, _ in halfspaces], dtype=float)
-    b_vec = np.array([b for _, b in halfspaces], dtype=float)
-    slack = 1e-12 * (1.0 + float(np.linalg.norm(x)))
-    if np.all(a_mat @ x <= b_vec + slack):
-        return np.array(x, dtype=float)
-
-    best, best_dist = None, np.inf
-    for mask in range(1, 1 << m):
-        idx = [i for i in range(m) if mask >> i & 1]
-        a_s = a_mat[idx]
-        gram = a_s @ a_s.T
-        if np.linalg.cond(gram) > 1e12:
-            continue
-        nu = np.linalg.solve(gram, a_s @ x - b_vec[idx])
-        if np.any(nu < -1e-10):
-            continue
-        z = x - a_s.T @ nu
-        if np.all(a_mat @ z <= b_vec + slack):
-            d = float(np.linalg.norm(z - x))
-            if d < best_dist:
-                best, best_dist = z, d
-    if best is None:
-        raise InfeasibleProjection("no KKT point found; halfspace system looks infeasible")
-    return best
-
-
-def _dual_project(f, halfspaces, x, kkt_tol=1e-8, max_cycles=5000):
-    """Cyclic exact maximization over the low-dimensional dual for general f.
-
-    Each multiplier is updated by scalar bisection on its own complementarity
-    condition (the constraint value is strictly decreasing in the multiplier),
-    so no step size is needed; cycles repeat until the KKT residual passes.
-    """
-    a_mat = np.array([a for a, _ in halfspaces], dtype=float)
-    b_vec = np.array([b for _, b in halfspaces], dtype=float)
-    m = len(halfspaces)
-    gx = f.gradient(x)
-    mu = np.zeros(m)
-
-    def primal(mu_vec):
-        return f.grad_inverse(gx - a_mat.T @ mu_vec)
-
-    for _ in range(max_cycles):
-        for i in range(m):
-            def slack(t):
-                trial = mu.copy()
-                trial[i] = t
-                return float(a_mat[i] @ primal(trial) - b_vec[i])
-
-            if slack(0.0) <= 0.0:
-                mu[i] = 0.0
-                continue
-            hi = max(1.0, 2.0 * mu[i])
-            while slack(hi) > 0.0:
-                hi *= 2.0
-                if hi > 1e12:
-                    raise InfeasibleProjection("dual multiplier diverged; system looks infeasible")
-            lo = 0.0
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                if slack(mid) > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo <= 1e-14 * (1.0 + hi):
-                    break
-            mu[i] = 0.5 * (lo + hi)
-        z = primal(mu)
-        g = a_mat @ z - b_vec
-        kkt = max(float(np.max(g, initial=0.0)), float(np.max(np.abs(mu * g), initial=0.0)))
-        if kkt <= kkt_tol:
-            return z
-    raise InfeasibleProjection(f"dual coordinate ascent stalled at KKT residual {kkt:.2e}")
+_KKT_RTOL = 1e-12  # the projection's one tolerance, relative to its data
 
 
 def bregman_project(f: LegendreFn, halfspaces, x, tolerances=None):
@@ -422,15 +348,94 @@ def bregman_project(f: LegendreFn, halfspaces, x, tolerances=None):
 
 
 def _bregman_project(f, halfspaces, x):
-    normalized = []
-    for a, b in halfspaces:
-        nrm = float(np.linalg.norm(a))
-        normalized.append((a / nrm, float(b) / nrm))
-    if not normalized:
+    """Active-set Newton method on the dual  max_{mu >= 0} -f*(grad f(x) - A^T mu) - <b, mu>.
+
+    Each step models f* to second order at u = grad f(x) - A^T mu, takes the
+    support S of the model's multipliers and solves the model's equality system
+    on S, halved until the natural KKT residual max|min(mu, b - Az)| falls; it
+    stops at _KKT_RTOL times the size of b and z.  For f = ||.||^2 / 2 the model
+    is exact: one step, z = x - A_S^T (A_S A_S^T)^{-1} (A_S x - b_S)."""
+    if not halfspaces:
         return np.array(x)
-    if isinstance(f, QuadraticForm) and f.is_identity:
-        return _euclidean_project(normalized, x)
-    return _dual_project(f, normalized, x)
+    a_mat = np.array([a / float(np.linalg.norm(a)) for a, _ in halfspaces])
+    b_vec = np.array([float(b) / float(np.linalg.norm(a)) for a, b in halfspaces])
+
+    def state(u, mu):
+        z = f.grad_inverse(u)
+        g = a_mat @ z - b_vec
+        return z, g, float(np.max(np.abs(np.minimum(mu, -g))))
+
+    u, mu = f.gradient(x), np.zeros(len(b_vec))
+    z, g, res = state(u, mu)
+    scale = max(float(np.max(np.abs(b_vec))), float(np.linalg.norm(z)))
+    for _ in range(500):
+        if res <= _KKT_RTOL * max(scale, float(np.linalg.norm(z))):
+            return z
+        try:
+            rows = a_mat @ np.linalg.cholesky(f.conj_hessian(u))  # rows rows^T = A H A^T
+            on, floor = _model_support(rows, g + rows @ (rows.T @ mu))
+            s, off = np.flatnonzero(on), np.flatnonzero(~on)
+            d = -mu  # the step drops the multipliers off S
+            d[s] = np.linalg.solve(rows[s] @ rows[s].T,
+                                   a_mat[s] @ z - b_vec[s] + rows[s] @ (rows[off].T @ mu[off]))
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"singular Newton model in the Bregman projection: {exc}") from exc
+        for alpha in 0.5 ** np.arange(40.0):
+            # u moves by the step itself, which may lie far below the ulp of mu
+            u_t, trial = u - a_mat[d != 0.0].T @ (alpha * d[d != 0.0]), mu + alpha * d
+            z_t, g_t, res_t = state(u_t, trial)
+            if res_t < res:
+                break
+        else:  # no step helps: z stands if the model cannot resolve its residual
+            if res <= floor:
+                return z
+            break
+        u, mu, z, g, res = u_t, trial, z_t, g_t, res_t
+    raise SolverError(f"Bregman projection stalled at KKT residual {res:.3e}", residual=res)
+
+
+def _model_support(rows, h):
+    """Support of argmin_{nu >= 0} <P nu, nu>/2 - <h, nu>, P = rows rows^T, and the
+    violation below which a constraint does not enter it.  This is the dual of a
+    least-distance problem, solved as in Lawson and Hanson (1974, ch. 23) by NNLS
+    on ||E w - e||, E = [-rows^T; h^T] scaled to unit rows and h, e the last unit
+    vector; 1 - <h, w> = 0 certifies infeasibility.  A column (numerically) in the
+    span of the passive ones is skipped until the passive set changes."""
+    nrm = np.linalg.norm(rows, axis=1)
+    h = h / nrm
+    top = float(np.max(np.abs(h))) or 1.0
+    e_mat = np.vstack([-(rows / nrm[:, None]).T, h / top])
+    m, target = e_mat.shape[1], np.eye(e_mat.shape[0])[-1]
+    w, passive, skip = np.zeros(m), np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+    for _ in range(3 * m + 3):
+        grad = e_mat.T @ (target - e_mat @ w)
+        free = ~passive & ~skip & (grad > _KKT_RTOL)
+        if not free.any():
+            rr = 1.0 - float(e_mat[-1] @ w)
+            if not rr > _KKT_RTOL:
+                raise InfeasibleProjection("no common point: the least-distance residual vanished")
+            return w > 0.0, _KKT_RTOL * top * float(np.max(nrm)) / rr
+        j = int(np.argmax(np.where(free, grad, -np.inf)))
+        passive[j] = True
+        while True:
+            idx = np.flatnonzero(passive)
+            s = np.zeros(m)
+            s[idx] = np.linalg.lstsq(e_mat[:, idx], target, rcond=None)[0]
+            # grad_j / s_j is the squared distance of column j to the others
+            if j >= 0 and not 0.0 < _KKT_RTOL ** 2 * (e_mat[:, j] @ e_mat[:, j]) * s[j] < grad[j]:
+                passive[j], skip[j] = False, True
+                break
+            j = -1
+            if np.all(s[idx] > 0.0):
+                w, skip = s, np.zeros(m, dtype=bool)
+                break
+            neg = idx[s[idx] <= 0.0]
+            ratio = w[neg] / (w[neg] - s[neg])
+            w = w + float(np.min(ratio)) * (s - w)
+            w[neg[np.argmin(ratio)]] = 0.0  # the blocking index leaves even if rounding keeps it > 0
+            passive &= w > 0.0
+            w[~passive] = 0.0
+    raise SolverError("least-distance NNLS did not terminate")
 
 
 #  common-zero scheme (one inclusion per operator, then project)
@@ -483,22 +488,17 @@ def _rs_step(f, ops, lams, etas, x0, x, common_zero, tol):
         w = f.grad_inverse(lam * eta + gx)
         sol = _solve(f, op, lam, eta, gx, tol)
         a = f.gradient(w) - f.gradient(sol.y)
-        if np.linalg.norm(a) <= 1e-14 * (1.0 + np.linalg.norm(f.gradient(w))):
-            cut = None
-        else:
-            b = (f.value(sol.y) - f.value(w)
-                 - pairing(f.gradient(sol.y), sol.y) + pairing(f.gradient(w), w))
-            cut = (a, b)
+        b = (f.value(sol.y) - f.value(w)
+             - pairing(f.gradient(sol.y), sol.y) + pairing(f.gradient(w), w))
+        degenerate = np.linalg.norm(a) <= 1e-14 * (1.0 + np.linalg.norm(f.gradient(w)))
+        cuts.append(None if degenerate else (a, b))
         ws.append(w)
         ys.append(sol.y)
         xis.append(sol.xi)
-        cuts.append(cut)
 
     aq = f.gradient(x0) - f.gradient(x)
-    if np.linalg.norm(aq) <= 1e-14 * (1.0 + np.linalg.norm(f.gradient(x0))):
-        q_cut = None
-    else:
-        q_cut = (aq, pairing(aq, x))
+    degenerate = np.linalg.norm(aq) <= 1e-14 * (1.0 + np.linalg.norm(f.gradient(x0)))
+    q_cut = None if degenerate else (aq, pairing(aq, x))
 
     it = RsIterate(ws=ws, ys=ys, xis=xis, etas=[np.array(e) for e in etas],
                    lams=list(lams), c_halfspaces=cuts, q_halfspace=q_cut, x_next=x)
@@ -508,9 +508,8 @@ def _rs_step(f, ops, lams, etas, x0, x, common_zero, tol):
             margin = (pairing(a, common_zero) - b) / float(np.linalg.norm(a))
             it.zero_margins.append(margin)
             if margin > 1e-9:
-                raise InfeasibleProjection(
-                    f"certified common zero violates a recorded cut by {margin:.3e}"
-                )
+                raise InfeasibleProjection(f"certified common zero violates a recorded cut by "
+                                           f"{margin:.3e}")
 
     it.x_next = _bregman_project(f, it.halfspaces(), x0)
     return it

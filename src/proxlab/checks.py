@@ -455,15 +455,27 @@ def algorithms_suite(seed=1):
                          common_zero=np.zeros(1))
     trace_r = alg.run(spec_r, alg.PerturbationPolicy.summable_geometric(0.05, 0.5, seed=seed),
                       alg.StopRule(max_iters=300, zero_detect=1e-8))
-    rs_bad = 0
-    for rec in trace_r.records[1:]:
-        margins = rec.extra["rs"].zero_margins
-        if any(m > 1e-10 for m in margins):
-            rs_bad += 1
+    rs_bad = _violated_cuts(trace_r)
     results.append(CheckResult("algorithms.rs_zero_containment", rs_bad == 0,
                                f"{rs_bad} violated cuts in {trace_r.iterations} iterations"))
 
+    # RS in 3-D cosh geometry, a run whose projections once stalled: it must
+    # converge, and every cut must keep the zero
+    spec_c = alg.RunSpec(scheme="rs", x0=np.ones(3), ops=[SubdiffAbs(1.0, np.zeros(3)), identity_op(3)],
+                         f=CoshSum(3), common_zero=np.zeros(3))
+    trace_c = alg.run(spec_c, alg.PerturbationPolicy.zero(),
+                      alg.StopRule(max_iters=100, zero_detect=1e-8))
+    cosh_bad = _violated_cuts(trace_c)
+    results.append(CheckResult("algorithms.rs_cosh_projection", trace_c.converged and cosh_bad == 0,
+                               f"{trace_c.termination_reason} after {trace_c.iterations} iterations, "
+                               f"{cosh_bad} violated cuts"))
+
     return results
+
+
+def _violated_cuts(trace):
+    """rs iterations with a recorded cut that excludes the common zero."""
+    return sum(any(m > 1e-10 for m in rec.extra["rs"].zero_margins) for rec in trace.records[1:])
 
 
 def run_suite(name, seed=1):

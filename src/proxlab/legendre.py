@@ -34,6 +34,10 @@ class LegendreFn:
     def grad_inverse(self, u):
         raise NotImplementedError
 
+    def conj_hessian(self, u):
+        """The Hessian of f* at one vector u: the Jacobian of `grad_inverse`."""
+        raise NotImplementedError
+
     def conjugate_value(self, u) -> float:
         """f*(u) = <u, (grad f)^{-1}(u)> - f((grad f)^{-1}(u))."""
         x = self.grad_inverse(u)
@@ -78,6 +82,9 @@ class QuadraticForm(LegendreFn):
     def grad_inverse(self, u):
         return self.metric.solve(u)
 
+    def conj_hessian(self, u):
+        return self.metric.solve(np.eye(self.dim))
+
     def closed_form_conjugate(self, u):
         return 0.5 * pairing(self.metric.solve(u), u)
 
@@ -119,6 +126,9 @@ class CoshSum(LegendreFn):
     def grad_inverse(self, u):
         return np.arcsinh(u)
 
+    def conj_hessian(self, u):
+        return np.diag(1.0 / np.hypot(1.0, u))
+
     def closed_form_conjugate(self, u):
         u = np.asarray(u, dtype=float)
         return float(np.sum(u * np.arcsinh(u) - np.sqrt(1.0 + u * u)))
@@ -155,6 +165,14 @@ class PowerEuclidean(LegendreFn):
     def grad_inverse(self, u):
         u = np.asarray(u, dtype=float)
         return _radial(row_norm(u), (2.0 - self.rho) / (self.rho - 1.0), u)
+
+    def conj_hessian(self, u):
+        """n^(r-2) (I + (r-2) v v^T) with r = rho/(rho-1), n = ||u||, v = u/n;
+        n is floored at the smallest normal float, so u = 0 gives a finite model."""
+        r = self.rho / (self.rho - 1.0)
+        n = max(float(np.linalg.norm(u)), _TINY)
+        v = u / n
+        return n ** (r - 2.0) * (np.eye(self.dim) + (r - 2.0) * np.outer(v, v))
 
     def closed_form_conjugate(self, u):
         rho_star = self.rho / (self.rho - 1.0)
@@ -208,6 +226,20 @@ class PowerP(LegendreFn):
         return _radial(n, (self.p - self.rho) / (self.p - 1.0),
                        np.sign(u) * np.abs(u) ** (1.0 / (self.p - 1.0)), zero=nq)
 
+    def conj_hessian(self, u):
+        """N^(r-2) ((q-1) diag t^(q-2) + (r-q) s s^T) with q = p/(p-1),
+        r = rho/(rho-1), N = ||u||_q, t = |u|/N, s = sign(u) t^(q-1); each |u_i|
+        is floored at the smallest normal float, so a zero entry gives a finite
+        model."""
+        q = self.p / (self.p - 1.0)
+        r = self.rho / (self.rho - 1.0)
+        au = np.maximum(np.abs(u), _TINY)
+        top = float(np.max(au))
+        n = top * self._norm(au / top, q)  # ||au||_q without underflow
+        t = au / n
+        s = np.where(u < 0.0, -1.0, 1.0) * t ** (q - 1.0)
+        return n ** (r - 2.0) * ((q - 1.0) * np.diag(t ** (q - 2.0)) + (r - q) * np.outer(s, s))
+
     def closed_form_conjugate(self, u):
         q = self.p / (self.p - 1.0)
         rho_star = self.rho / (self.rho - 1.0)
@@ -220,6 +252,9 @@ class PowerP(LegendreFn):
 
     def spec_string(self):
         return f"powerp:p={self.p!r},rho={self.rho!r}"
+
+
+_TINY = np.finfo(float).tiny
 
 
 def _radial(n, exponent, v, zero=None):

@@ -140,3 +140,73 @@ def enlargement_residual_scalar(op, eps, y, xi, witness_budget=256, halfwidth=1.
             return np.inf
         worst = max(worst, -eps - pairing(sel - xi, direction))
     return worst
+
+
+def euclidean_project_enumeration(halfspaces, x):
+    """Euclidean projection onto unit-normal halfspaces by trying all 2^m
+    active sets, keeping the nearest KKT point (the pre-Newton kernel)."""
+    from proxlab.errors import InfeasibleProjection
+
+    m = len(halfspaces)
+    a_mat = np.array([a for a, _ in halfspaces], dtype=float)
+    b_vec = np.array([b for _, b in halfspaces], dtype=float)
+    slack = 1e-12 * (1.0 + float(np.linalg.norm(x)))
+    if np.all(a_mat @ x <= b_vec + slack):
+        return np.array(x, dtype=float)
+
+    best, best_dist = None, np.inf
+    for mask in range(1, 1 << m):
+        idx = [i for i in range(m) if mask >> i & 1]
+        a_s = a_mat[idx]
+        gram = a_s @ a_s.T
+        if np.linalg.cond(gram) > 1e12:
+            continue
+        nu = np.linalg.solve(gram, a_s @ x - b_vec[idx])
+        if np.any(nu < -1e-10):
+            continue
+        z = x - a_s.T @ nu
+        if np.all(a_mat @ z <= b_vec + slack):
+            d = float(np.linalg.norm(z - x))
+            if d < best_dist:
+                best, best_dist = z, d
+    if best is None:
+        raise InfeasibleProjection("no KKT point found; halfspace system looks infeasible")
+    return best
+
+
+def dual_project_bisection(f, halfspaces, x, kkt_tol=1e-8, max_cycles=5000):
+    """Bregman projection onto unit-normal halfspaces by cyclic exact
+    maximization of the dual, one multiplier at a time by bisection on its
+    complementarity condition (the pre-Newton kernel); stalls raise."""
+    from proxlab.errors import InfeasibleProjection
+
+    a_mat = np.array([a for a, _ in halfspaces], dtype=float)
+    b_vec = np.array([b for _, b in halfspaces], dtype=float)
+    gx = f.gradient(x)
+    mu = np.zeros(len(halfspaces))
+
+    def primal(mu_vec):
+        return f.grad_inverse(gx - a_mat.T @ mu_vec)
+
+    for _ in range(max_cycles):
+        for i in range(len(halfspaces)):
+            def slack(t):
+                trial = mu.copy()
+                trial[i] = t
+                return float(a_mat[i] @ primal(trial) - b_vec[i])
+
+            if slack(0.0) <= 0.0:
+                mu[i] = 0.0
+                continue
+            hi = max(1.0, 2.0 * mu[i])
+            while slack(hi) > 0.0:
+                hi *= 2.0
+                if hi > 1e12:
+                    raise InfeasibleProjection("dual multiplier diverged; system looks infeasible")
+            mu[i] = bisect_increasing(lambda t: -slack(t), 0.0, hi, iters=100)
+        z = primal(mu)
+        g = a_mat @ z - b_vec
+        kkt = max(float(np.max(g, initial=0.0)), float(np.max(np.abs(mu * g), initial=0.0)))
+        if kkt <= kkt_tol:
+            return z
+    raise InfeasibleProjection(f"dual coordinate ascent stalled at KKT residual {kkt:.2e}")

@@ -111,7 +111,7 @@ def test_terminate_clause_defers_to_stop_residual():
         trace = alg.run(spec, alg.PerturbationPolicy.zero(), stop)
         assert not trace.converged and trace.termination_reason == "max_iters"
         assert trace.iterations == 20
-        assert all(rec.note == "terminate(certified)" for rec in trace.records[1:])
+        assert all(rec.note == "terminate" for rec in trace.records[1:])
         assert trace.final_residual > 0.49  # the iterate creeps by ~1e-9 a step
 
 
