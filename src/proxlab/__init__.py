@@ -5,7 +5,7 @@ from .algorithms import (IterateTrace, MetricSchedule, PerturbationPolicy, RunSp
                          ips_step, pls_step, rs_step, run, ss_step)
 from .legendre import (CoshSum, LegendreFn, PowerEuclidean, PowerP, QuadraticForm,
                        bregman_distance, diagnostics, euclidean, parse_legendre)
-from .numerics import SpdMetric, Tolerances, as_vector, pairing
+from .numerics import SpdMetric, as_vector, pairing
 from .operators import (Affine, GradientOfConvex, MonotoneOp, NormalConeBox,
                         OperatorSum, Scaled, SubdiffAbs, enlargement_residual,
                         identity_op, parse_operator, zero_residual)
@@ -20,7 +20,7 @@ __all__ = [
     "IterateTrace", "LegendreFn", "MetricSchedule", "MonotoneOp", "NormalConeBox",
     "OperatorSum", "PerturbationPolicy", "PowerEuclidean", "PowerP", "QuadraticForm",
     "RunSpec", "Scaled", "Schedule", "SpdMetric", "StopRule", "StronglyImplicitSpec",
-    "SubdiffAbs", "Tolerances", "as_vector", "bregman_distance", "bregman_project",
+    "SubdiffAbs", "as_vector", "bregman_distance", "bregman_project",
     "diagnostics", "eckstein_step", "enlargement_residual", "euclidean",
     "holder_certify", "identity_op", "ips_form", "ips_nu", "ips_step",
     "pairing", "parse_legendre",

@@ -14,15 +14,14 @@ as converged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (ConfigError, DimensionMismatch, InfeasibleProjection, SolverError,
                      StrongImplicitnessFailure, UpdateUndefined)
 from .legendre import LegendreFn, QuadraticForm, euclidean
-from .numerics import (DEFAULT_TOLERANCES, SpdMetric, as_vector, pairing, random_spd_matrix,
-                       require_finite)
+from .numerics import SpdMetric, as_vector, pairing, random_spd_matrix, require_finite
 from .operators import MonotoneOp
 from .resolvent import (_check_pairing, _protoresolvent, _solve, ips_form, pls_form,
                         protoresolvent, radius_search, ss_form)
@@ -219,35 +218,37 @@ class StepResult:
     extra: dict = field(default_factory=dict)
 
 
-def eckstein_step(f: LegendreFn, op: MonotoneOp, lam: float, x, eta_next, tolerances=None):
+def eckstein_step(f: LegendreFn, op: MonotoneOp, lam: float, x, eta_next):
     """x_{n+1} = (grad f + lam A)^{-1}(eta_{n+1} + grad f(x_n)); any eta accepted."""
     x = as_vector(x, f.dim)
     eta_next = as_vector(eta_next, f.dim)
-    return protoresolvent(f, op, lam, eta_next + f.gradient(x), tolerances=tolerances)
+    return protoresolvent(f, op, lam, eta_next + f.gradient(x))
 
 
-def ss_step(op: MonotoneOp, mu: float, sigma: float, x, eta, tolerances=None) -> StepResult:
+def ss_step(op: MonotoneOp, mu: float, sigma: float, x, eta,
+            zero_detect: float = StopRule.zero_detect) -> StepResult:
     """Hybrid projection step: prox at x - eta/mu, then project onto the cut."""
     if not 0.0 < mu < np.inf:
         raise ValueError("mu must be positive")
     if not 0.0 <= sigma < np.inf:
         raise ValueError("sigma must be nonnegative")
-    return _ss_step(op, mu, sigma, as_vector(x, op.dim), as_vector(eta, op.dim),
-                    tolerances or DEFAULT_TOLERANCES)
+    if not 0.0 < zero_detect < np.inf:
+        raise ValueError("zero_detect must be positive and finite")
+    return _ss_step(op, mu, sigma, as_vector(x, op.dim), as_vector(eta, op.dim), zero_detect)
 
 
-def _ss_step(op, mu, sigma, x, eta, tol):
-    y = _protoresolvent(euclidean(op.dim), op, 1.0 / mu, x - eta / mu, tol)
+def _ss_step(op, mu, sigma, x, eta, zero_detect):
+    y = _protoresolvent(euclidean(op.dim), op, 1.0 / mu, x - eta / mu)
     xi = -eta - mu * (y - x)
 
     if np.linalg.norm(eta) > sigma * max(float(np.linalg.norm(xi)), mu * float(np.linalg.norm(y - x))):
         return StepResult(status="reject", y=y, xi=xi)
 
     xi_norm = float(np.linalg.norm(xi))
-    if float(np.linalg.norm(y - x)) <= tol.zero_detect:  # a zero only if the stop residual passes
+    if float(np.linalg.norm(y - x)) <= zero_detect:  # a zero only if the stop residual passes
         return StepResult(status="terminate", y=y, xi=xi,
-                          certified_zero=_stop_residual([op], y, tol) <= tol.zero_detect)
-    if xi_norm <= tol.zero_detect:
+                          certified_zero=_stop_residual([op], y) <= zero_detect)
+    if xi_norm <= zero_detect:
         if sigma >= 1.0:
             raise UpdateUndefined("update undefined: xi vanished away from the iterate with sigma >= 1")
         return StepResult(status="terminate", y=y, xi=xi, certified_zero=True)
@@ -273,18 +274,17 @@ def ips_nu(sigma: float, rho: float, lam_hat: float) -> float:
     return nu
 
 
-def ips_step(op: MonotoneOp, lam: float, nu: float, x, eta, tolerances=None) -> StepResult:
+def ips_step(op: MonotoneOp, lam: float, nu: float, x, eta) -> StepResult:
     """Subspace-constrained relative-error step; caller projects eta onto Z."""
     if not 0.0 < lam < np.inf:
         raise ValueError("lam must be positive")
     if not 0.0 <= nu < np.inf:
         raise ValueError("nu must be nonnegative and finite")
-    return _ips_step(op, lam, nu, as_vector(x, op.dim), as_vector(eta, op.dim),
-                     tolerances or DEFAULT_TOLERANCES)
+    return _ips_step(op, lam, nu, as_vector(x, op.dim), as_vector(eta, op.dim))
 
 
-def _ips_step(op, lam, nu, x, eta, tol):
-    y = _protoresolvent(euclidean(op.dim), op, lam, x + eta, tol)
+def _ips_step(op, lam, nu, x, eta):
+    y = _protoresolvent(euclidean(op.dim), op, lam, x + eta)
     if np.linalg.norm(eta) > nu * float(np.linalg.norm(y - x)):
         return StepResult(status="reject", y=y)
     xi = (eta - (y - x)) / lam
@@ -292,7 +292,7 @@ def _ips_step(op, lam, nu, x, eta, tol):
 
 
 def pls_step(op: MonotoneOp, c: float, metric: SpdMetric, sigma: float, tau: float,
-             x, eta, tolerances=None) -> StepResult:
+             x, eta, zero_detect: float = StopRule.zero_detect) -> StepResult:
     """Variable-metric step with the squared metric-norm error criterion."""
     if not 0.0 < c < np.inf:
         raise ValueError("c must be positive")
@@ -300,13 +300,15 @@ def pls_step(op: MonotoneOp, c: float, metric: SpdMetric, sigma: float, tau: flo
         raise ValueError("sigma must be nonnegative and tau finite")
     if metric.dim != op.dim:
         raise DimensionMismatch(f"metric dim {metric.dim} != operator dim {op.dim}")
+    if not 0.0 < zero_detect < np.inf:
+        raise ValueError("zero_detect must be positive and finite")
     return _pls_step(op, c, metric, sigma, tau, as_vector(x, op.dim), as_vector(eta, op.dim),
-                     tolerances or DEFAULT_TOLERANCES)
+                     zero_detect)
 
 
-def _pls_step(op, c, metric, sigma, tau, x, eta, tol):
+def _pls_step(op, c, metric, sigma, tau, x, eta, zero_detect):
     f = QuadraticForm(SpdMetric(np.linalg.inv(metric.matrix)))
-    y = _protoresolvent(f, op, c, metric.solve(x + eta), tol)
+    y = _protoresolvent(f, op, c, metric.solve(x + eta))
     xi = metric.solve(eta - (y - x)) / c
 
     # c M xi + (y - x) telescopes back to eta, so the error side is exact
@@ -315,9 +317,9 @@ def _pls_step(op, c, metric, sigma, tau, x, eta, tol):
     if lhs > rhs:
         return StepResult(status="reject", y=y, xi=xi)
 
-    if float(np.linalg.norm(y - x)) <= tol.zero_detect:
+    if float(np.linalg.norm(y - x)) <= zero_detect:
         return StepResult(status="terminate", y=y, xi=xi,
-                          certified_zero=_stop_residual([op], y, tol) <= tol.zero_detect)
+                          certified_zero=_stop_residual([op], y) <= zero_detect)
 
     denom = pairing(xi, metric.apply(xi))
     if denom <= 0.0:
@@ -332,7 +334,7 @@ def _pls_step(op, c, metric, sigma, tau, x, eta, tol):
 _KKT_RTOL = 1e-12  # the projection's one tolerance, relative to its data
 
 
-def bregman_project(f: LegendreFn, halfspaces, x, tolerances=None):
+def bregman_project(f: LegendreFn, halfspaces, x):
     """argmin of D_f(., x) over the intersection of <a_i, z> <= b_i.
 
     Pass halfspaces as (a, b) pairs; an empty list returns x itself.  Rows are
@@ -459,7 +461,7 @@ class RsIterate:
         return out
 
 
-def rs_step(f: LegendreFn, ops, lams, etas, x0, x, common_zero=None, tolerances=None) -> RsIterate:
+def rs_step(f: LegendreFn, ops, lams, etas, x0, x, common_zero=None) -> RsIterate:
     """One round of the common-zero scheme.
 
     Each cut set reduces to the halfspace
@@ -478,15 +480,15 @@ def rs_step(f: LegendreFn, ops, lams, etas, x0, x, common_zero=None, tolerances=
     require_finite(f.gradient(x), "grad f(x)")
     if common_zero is not None:
         common_zero = as_vector(common_zero, f.dim)
-    return _rs_step(f, ops, lams, etas, x0, x, common_zero, tolerances or DEFAULT_TOLERANCES)
+    return _rs_step(f, ops, lams, etas, x0, x, common_zero)
 
 
-def _rs_step(f, ops, lams, etas, x0, x, common_zero, tol):
+def _rs_step(f, ops, lams, etas, x0, x, common_zero):
     gx = f.gradient(x)
     ws, ys, xis, cuts = [], [], [], []
     for op, lam, eta in zip(ops, lams, etas):
         w = f.grad_inverse(lam * eta + gx)
-        sol = _solve(f, op, lam, eta, gx, tol)
+        sol = _solve(f, op, lam, eta, gx)
         a = f.gradient(w) - f.gradient(sol.y)
         b = (f.value(sol.y) - f.value(w)
              - pairing(f.gradient(sol.y), sol.y) + pairing(f.gradient(w), w))
@@ -576,10 +578,10 @@ class RunSpec:
         return self.ops if self.scheme == "rs" else [self.op]
 
 
-def _stop_residual(ops, x, tol):
+def _stop_residual(ops, x):
     """max over ops of zero_residual(op, f, 1, x) with f = ||.||^2 / 2, on trusted x."""
     f = euclidean(x.shape[0])
-    return max(float(np.linalg.norm(x - _protoresolvent(f, op, 1.0, f.gradient(x), tol)))
+    return max(float(np.linalg.norm(x - _protoresolvent(f, op, 1.0, f.gradient(x))))
                for op in ops)
 
 
@@ -609,31 +611,32 @@ def _shrink_until_accepted(step_fn, eta, max_shrink=60):
 #  a radius thunk and the step.  The thunk gives radius_search's (f, lam, form)
 #  and the factor that maps its radius to the scheme-side error; it is None
 #  where the scheme accepts any error.  The step takes an error array with one
-#  row per operator and returns a StepResult.
+#  row per operator and returns a StepResult; ss and pls end at the stop rule's
+#  zero_detect.
 
-def _eckstein(spec, tol, n, x):
+def _eckstein(spec, stop, n, x):
     lam = spec.lam.at(n)
 
     def step(etas):
-        x_new = _protoresolvent(spec.f, spec.op, lam, etas[0] + spec.f.gradient(x), tol)
+        x_new = _protoresolvent(spec.f, spec.op, lam, etas[0] + spec.f.gradient(x))
         xi = etas[0] / lam - (spec.f.gradient(x_new) - spec.f.gradient(x)) / lam
         return StepResult(status="accepted", y=np.array(x_new), xi=xi, x_next=x_new)
     return lam, None, step
 
 
-def _ss(spec, tol, n, x):
+def _ss(spec, stop, n, x):
     mu = spec.mu.at(n)
     return (mu, lambda: (euclidean(spec.dim), 1.0 / mu, ss_form(spec.sigma, mu), 1.0),
-            lambda etas: _ss_step(spec.op, mu, spec.sigma, x, etas[0], tol))
+            lambda etas: _ss_step(spec.op, mu, spec.sigma, x, etas[0], stop.zero_detect))
 
 
-def _ips(spec, tol, n, x):
+def _ips(spec, stop, n, x):
     lam = spec.lam.at(n)
     return (lam, lambda: (euclidean(spec.dim), lam, ips_form(spec.nu, lam), lam),
-            lambda etas: _ips_step(spec.op, lam, spec.nu, x, etas[0], tol))
+            lambda etas: _ips_step(spec.op, lam, spec.nu, x, etas[0]))
 
 
-def _pls(spec, tol, n, x):
+def _pls(spec, stop, n, x):
     c, metric = spec.c.at(n), spec.metric.at(n, spec.dim)
 
     def radius_args():
@@ -643,18 +646,17 @@ def _pls(spec, tol, n, x):
         return f_n, c, pls_form(spec.sigma, c, metric), scale
 
     def step(etas):
-        result = _pls_step(spec.op, c, metric, spec.sigma, spec.tau, x, etas[0], tol)
+        result = _pls_step(spec.op, c, metric, spec.sigma, spec.tau, x, etas[0], stop.zero_detect)
         result.extra["metric"] = metric
         return result
     return c, radius_args, step
 
 
-def _rs(spec, tol, n, x):
+def _rs(spec, stop, n, x):
     lam = spec.lam.at(n)
 
     def step(etas):
-        it = _rs_step(spec.f, spec.ops, [lam] * len(spec.ops), etas, spec.x0, x,
-                      spec.common_zero, tol)
+        it = _rs_step(spec.f, spec.ops, [lam] * len(spec.ops), etas, spec.x0, x, spec.common_zero)
         return StepResult(status="accepted", y=it.ys[0], xi=it.xis[0], x_next=it.x_next,
                           extra={"rs": it})
     return lam, None, step
@@ -663,22 +665,21 @@ def _rs(spec, tol, n, x):
 _ADAPTERS = {"eckstein": _eckstein, "ss": _ss, "ips": _ips, "pls": _pls, "rs": _rs}
 
 
-def run(spec: RunSpec, policy: PerturbationPolicy, stop: StopRule, tolerances=None) -> IterateTrace:
+def run(spec: RunSpec, policy: PerturbationPolicy, stop: StopRule) -> IterateTrace:
     """Drive a scheme from x0 until the zero residual passes or budgets expire."""
-    tol = replace(tolerances or DEFAULT_TOLERANCES, zero_detect=stop.zero_detect)
     if policy.needs_radius and spec.scheme in ("eckstein", "rs"):
         raise ConfigError(
             f"radius_fraction is undefined for {spec.scheme}: the scheme accepts "
             "arbitrary perturbations, so no acceptance radius exists")
     require_finite(spec.f.gradient(spec.x0), "grad f(x0)")
     x = np.array(spec.x0)
-    zr = _stop_residual(spec.all_ops, x, tol)
+    zr = _stop_residual(spec.all_ops, x)
     trace = IterateTrace(scheme=spec.scheme, meta={"dim": spec.dim},
                          records=[TraceRecord(n=0, x=x, zero_residual=zr, note="init")],
                          termination_reason="zero detected")
     if zr > stop.zero_detect:
         try:
-            trace.termination_reason = _iterate(spec, policy, stop, tol, trace, x)
+            trace.termination_reason = _iterate(spec, policy, stop, trace, x)
         except (SolverError, UpdateUndefined) as exc:
             # per-step failures abort the run but keep the partial trace
             trace.termination_reason = "solver failure"
@@ -687,21 +688,20 @@ def run(spec: RunSpec, policy: PerturbationPolicy, stop: StopRule, tolerances=No
     return trace
 
 
-def _iterate(spec, policy, stop, tol, trace, x):
+def _iterate(spec, policy, stop, trace, x):
     """One loop for every scheme: draw, shrink, step, stop."""
     adapter = _ADAPTERS[spec.scheme]
     projector = _subspace_projector(spec.z_basis) if spec.scheme == "ips" else None
     running_sum = 0.0
     for n in range(stop.max_iters):
         row = n + 1
-        param, radius_args, step = adapter(spec, tol, n, x)
+        param, radius_args, step = adapter(spec, stop, n, x)
         note, radius = "", None
         if policy.needs_radius:  # run() admits it only where radius_args exists
             try:
                 f_r, lam_r, form, scale = radius_args()
                 radius = scale * radius_search(f_r, spec.op, lam_r, x, form,
-                                               probes=spec.radius_probes,
-                                               seed=spec.radius_seed, tolerances=tol)
+                                               probes=spec.radius_probes, seed=spec.radius_seed)
             except StrongImplicitnessFailure:
                 radius, note = 0.0, "radius unavailable;"
         # one error row per operator, each from its own stream
@@ -723,7 +723,7 @@ def _iterate(spec, policy, stop, tol, trace, x):
         if spec.scheme == "eckstein":  # partial sums of <eta_n, x_n>, for the sidecar
             running_sum += pairing(eta, x)
             trace.partial_sums.append(running_sum)
-        rec = TraceRecord(n=row, x=x, zero_residual=_stop_residual(spec.all_ops, x, tol),
+        rec = TraceRecord(n=row, x=x, zero_residual=_stop_residual(spec.all_ops, x),
                           y=result.y, xi=result.xi, eta=eta, step_param=param, note=note,
                           extra=result.extra)
         trace.records.append(rec)

@@ -15,7 +15,7 @@ import numpy as np
 from . import algorithms as alg
 from .legendre import (CoshSum, PowerEuclidean, PowerP, QuadraticForm,
                        bregman_distance, euclidean)
-from .numerics import DEFAULT_TOLERANCES, SpdMetric, pairing, random_spd_matrix
+from .numerics import SpdMetric, pairing, random_spd_matrix
 from .operators import (Affine, GradientOfConvex, NormalConeBox, OperatorSum, Scaled,
                         SubdiffAbs, enlargement_residual, identity_op, zero_residual)
 from .reference import brute_force_protoresolvent
@@ -350,7 +350,6 @@ def _audit_ss_trace(trace, op, sigma):
 def algorithms_suite(seed=1):
     rng = np.random.default_rng(seed)
     results = []
-    tol = DEFAULT_TOLERANCES
 
     shift = np.array([1.0])
     op_abs = SubdiffAbs(1.0, shift)
@@ -362,8 +361,8 @@ def algorithms_suite(seed=1):
         lam = float(rng.uniform(0.3, 2.0))
         x = rng.uniform(-4.0, 4.0, size=1)
         y_classic = protoresolvent(euclidean(1), op_abs, lam, x)
-        res = alg.ss_step(op_abs, 1.0 / lam, 0.5, x, np.zeros(1), tolerances=tol)
-        y_eck = alg.eckstein_step(euclidean(1), op_abs, lam, x, np.zeros(1), tolerances=tol)
+        res = alg.ss_step(op_abs, 1.0 / lam, 0.5, x, np.zeros(1))
+        y_eck = alg.eckstein_step(euclidean(1), op_abs, lam, x, np.zeros(1))
         if np.linalg.norm(res.y - y_classic) > 1e-10 or np.linalg.norm(y_eck - y_classic) > 1e-10:
             exact_bad += 1
     results.append(CheckResult("algorithms.exactness_degeneration", exact_bad == 0,
@@ -390,9 +389,9 @@ def algorithms_suite(seed=1):
                                f"{fejer_bad} expansions toward the known zero"))
 
     # termination soundness at a true zero
-    term = alg.ss_step(op_abs, 1.0, 0.5, shift, np.zeros(1), tolerances=tol)
+    term = alg.ss_step(op_abs, 1.0, 0.5, shift, np.zeros(1))
     sound = term.status == "terminate" and term.certified_zero and \
-        zero_residual(op_abs, euclidean(1), 1.0, shift) <= tol.zero_detect
+        zero_residual(op_abs, euclidean(1), 1.0, shift) <= alg.StopRule.zero_detect
     results.append(CheckResult("algorithms.termination_soundness", sound,
                                "hybrid stop clause certifies the zero"))
 

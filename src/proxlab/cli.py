@@ -22,8 +22,6 @@ from .numerics import SpdMetric, as_vector
 from .resolvent import (DEFAULT_MAGNITUDES, InclusionInstance, ips_form, pls_form,
                         radius_search, solve_inclusion, ss_form, verify_solution)
 
-SEED_ENV = "PROXLAB_SEED"
-
 
 def _fmt(x: float) -> str:
     return repr(float(x))
@@ -143,6 +141,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     stop = dict(raw.get("stop", {}))
     stop.setdefault("max_iters", 500)
     stop.setdefault("zero_detect", 1e-8)
+    seed = raw.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"{seed!r} is not a non-negative integer", field="seed")
 
     cfg = ExperimentConfig(
         space_dim=space_dim,
@@ -153,7 +154,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         scheme_params=dict(raw.get("scheme_params", {})),
         policy=policy,
         stop=stop,
-        seed=int(raw.get("seed", 0)),
+        seed=seed,
         output_path=str(raw.get("output_path", "trace.csv")),
     )
     # fail fast on anything the run would reject later
@@ -164,13 +165,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
 def build_run_inputs(cfg: ExperimentConfig):
     """Materialize (RunSpec, policy, stop) from a validated config."""
     seed = cfg.seed
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ConfigError(f"environment {SEED_ENV}={env!r} is not an integer")
-
     try:
         f = legendre.parse_legendre(cfg.legendre_spec, cfg.space_dim)
     except (ValueError, KeyError) as exc:

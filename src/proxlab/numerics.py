@@ -1,4 +1,4 @@
-"""Dense finite-dimensional primitives: vectors, SPD metrics, tolerance policy.
+"""Dense finite-dimensional primitives: vectors, SPD metrics, sample points.
 
 One flat array type serves both primal and dual vectors; in R^m the space and
 its dual share a representation and only parameter names convey the role.
@@ -7,7 +7,6 @@ its dual share a representation and only parameter names convey the role.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -133,29 +132,13 @@ class SpdMetric:
         return f"SpdMetric(dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Shared tolerance policy; all thresholds strictly positive."""
-
-    inner_residual: float = 1e-10
-    membership: float = 1e-8
-    zero_detect: float = 1e-8
-
-    def __post_init__(self):
-        for name in ("inner_residual", "membership", "zero_detect"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"tolerance {name} must be strictly positive")
-
-
-DEFAULT_TOLERANCES = Tolerances()
-
-
-def halton_points(count, dim, skip=20):
-    """Deterministic low-discrepancy points in [0, 1)^dim (van der Corput per axis)."""
+def halton_points(count, dim):
+    """Deterministic low-discrepancy points in [0, 1)^dim (van der Corput per
+    axis), starting at index 20 to skip the sequence's aligned first points."""
     if dim > len(_HALTON_PRIMES):
         raise DimensionMismatch(f"halton grid supports dim <= {len(_HALTON_PRIMES)}")
     bases = np.array(_HALTON_PRIMES[:dim])
-    n = np.repeat(np.arange(skip, skip + count)[:, None], dim, axis=1)
+    n = np.repeat(np.arange(20, 20 + count)[:, None], dim, axis=1)
     f = np.ones(dim)  # base**-k at digit position k, the same for every point
     r = np.zeros((count, dim))
     # one pass per digit position; finished entries (n = 0) add zero digits

@@ -98,12 +98,11 @@ class MonotoneOp:
 
     #  graph sampling
 
-    def sample_graph(self, count, rng, halfwidth=3.0, center=None):
-        """Random graph points (y, xi) for monotonicity audits."""
-        center = np.zeros(self.dim) if center is None else as_vector(center, self.dim)
+    def sample_graph(self, count, rng):
+        """Random graph points (y, xi), y drawn from [-3, 3]^dim, for monotonicity audits."""
         pts = []
         while len(pts) < count:
-            y = center + rng.uniform(-halfwidth, halfwidth, size=self.dim)
+            y = rng.uniform(-3.0, 3.0, size=self.dim)
             y = self._clamp_to_domain(y)
             box = self.value_box(y)
             xi = np.empty(self.dim)
@@ -455,11 +454,11 @@ def identity_op(dim) -> Affine:
     return Affine(np.eye(dim), np.zeros(dim))
 
 
-def enlargement_residual(op: MonotoneOp, eps, y, xi, witness_budget=256, halfwidth=1.0):
+def enlargement_residual(op: MonotoneOp, eps, y, xi, witness_budget=256):
     """Largest sampled violation of xi being in the eps-enlargement of A at y.
 
     Witnesses (x', y') are drawn from a deterministic low-discrepancy grid over
-    the box of the given halfwidth around y, each paired with the graph
+    the box of halfwidth 1 around y, each paired with the graph
     selection that minimizes <y' - xi, x' - y>.  A return of 0 certifies only
     that no sampled witness violates the enlargement inequality.
     """
@@ -468,7 +467,7 @@ def enlargement_residual(op: MonotoneOp, eps, y, xi, witness_budget=256, halfwid
     y = as_vector(y, op.dim)
     xi = as_vector(xi, op.dim)
     # one witness per row of the grid
-    xp = op._clamp_to_domain(y + halfwidth * (2.0 * halton_points(witness_budget, op.dim) - 1.0))
+    xp = op._clamp_to_domain(y + (2.0 * halton_points(witness_budget, op.dim) - 1.0))
     box = op.value_box(xp)
     if np.any(box.empty):
         op.value_box(xp[np.argmax(box.empty)])  # raises EmptyOperatorValue for that witness
@@ -480,12 +479,12 @@ def enlargement_residual(op: MonotoneOp, eps, y, xi, witness_budget=256, halfwid
     return float(np.max(-eps - row_dot(sel - xi, direction), initial=0.0))
 
 
-def zero_residual(op: MonotoneOp, f, lam, x, tolerances=None) -> float:
+def zero_residual(op: MonotoneOp, f, lam, x) -> float:
     """||x - Res^f_{lam A}(x)||; zero (to tolerance) exactly at zeros of A."""
     from .resolvent import protoresolvent
 
     x = as_vector(x, op.dim)
-    y = protoresolvent(f, op, lam, f.gradient(x), tolerances=tolerances)
+    y = protoresolvent(f, op, lam, f.gradient(x))
     return float(np.linalg.norm(x - y))
 
 

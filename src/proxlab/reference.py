@@ -69,8 +69,10 @@ def operator_potential(op: MonotoneOp, y):
     raise TypeError(f"no potential known for operator kind {op.kind!r}")
 
 
-def brute_force_protoresolvent(f, op, lam, w, span=None, points=81, rounds=8):
-    """Minimize h over nested grids; accuracy ~ span * (4/points)^rounds.
+def brute_force_protoresolvent(f, op, lam, w, rounds=8):
+    """Minimize h over nested grids of max(9, round(81^(1/dim))) points per
+    axis, the first spanning 4 + 4 ||w|| either side of 0; in 1-D the accuracy
+    is ~ that span times (4/81)^rounds.
 
     Ties go to the first grid point in itertools.product order; points where
     h is NaN or +inf never win, and a round without a finite point raises
@@ -78,11 +80,9 @@ def brute_force_protoresolvent(f, op, lam, w, span=None, points=81, rounds=8):
     """
     w = np.asarray(w, dtype=float)
     dim = f.dim
-    if span is None:
-        span = 4.0 + 4.0 * float(np.linalg.norm(w))
     center = np.zeros(dim)
-    half = span
-    per_axis = points if dim == 1 else max(9, int(round(points ** (1.0 / dim))))
+    half = 4.0 + 4.0 * float(np.linalg.norm(w))
+    per_axis = max(9, int(round(81 ** (1.0 / dim))))
     size = per_axis ** dim
     if size > _MAX_GRID_POINTS:
         raise ValueError(f"brute force: {size} grid points per round in dim {dim} "

@@ -17,8 +17,11 @@ import numpy as np
 
 from .errors import EmptyOperatorValue, NoStrategy, SolverError, StrongImplicitnessFailure
 from .legendre import LegendreFn, QuadraticForm
-from .numerics import DEFAULT_TOLERANCES, as_vector, require_finite, row_norm, unit_directions
+from .numerics import as_vector, require_finite, row_norm, unit_directions
 from .operators import MonotoneOp
+
+INNER_RTOL = 1e-10     # certificate and linear-verification bound, relative to 1 + norm
+MEMBERSHIP_TOL = 1e-8  # verification bound on the distance of xi to A(y)
 
 
 @dataclass(frozen=True)
@@ -151,11 +154,11 @@ def _solve_separable(f, op, lam, w):
     return np.array([_solve_coord(f, op, i, lam, w[i], dlo[i], dhi[i]) for i in range(f.dim)])
 
 
-def _solve_newton(f, op, lam, w, tol):
+def _solve_newton(f, op, lam, w):
     """Damped Newton for y + lam gradF(y) = w (f is the identity quadratic)."""
     grad, hess = op.smooth_gradient()
     y = np.array(w, dtype=float)
-    target = max(1e-14, 0.01 * tol.inner_residual) * (1.0 + float(np.linalg.norm(w)))
+    target = max(1e-14, 0.01 * INNER_RTOL) * (1.0 + float(np.linalg.norm(w)))
     g = y + lam * grad(y) - w
     for _ in range(120):
         gn = float(np.linalg.norm(g))
@@ -176,7 +179,7 @@ def _solve_newton(f, op, lam, w, tol):
     raise SolverError("Newton did not converge", residual=float(np.linalg.norm(g)))
 
 
-def _certificate(f, op, lam, w, y, tol):
+def _certificate(f, op, lam, w, y):
     """y clamped to the domain, its value box, the residual
     ||grad f(y) + lam xi_hat - w|| (xi_hat the selection nearest
     (w - grad f(y)) / lam) and the bound it must meet; per row for rows."""
@@ -184,13 +187,13 @@ def _certificate(f, op, lam, w, y, tol):
     box = op.value_box(y)
     gy = f.gradient(y)
     residual = row_norm(gy + lam * box.nearest((w - gy) / lam) - w)
-    return y, box, residual, tol.inner_residual * (1.0 + row_norm(w))
+    return y, box, residual, INNER_RTOL * (1.0 + row_norm(w))
 
 
-def _certify(f, op, lam, w, y, tol):
+def _certify(f, op, lam, w, y):
     """(y, residual) for one vector, or SolverError if the certificate fails."""
     try:
-        y, _, residual, bound = _certificate(f, op, lam, w, y, tol)
+        y, _, residual, bound = _certificate(f, op, lam, w, y)
     except EmptyOperatorValue as exc:
         raise SolverError(f"solution left the operator domain: {exc}", residual=np.inf)
     if not residual <= bound:
@@ -201,14 +204,14 @@ def _certify(f, op, lam, w, y, tol):
     return y, residual
 
 
-def protoresolvent(f: LegendreFn, op: MonotoneOp, lam: float, w, tolerances=None):
+def protoresolvent(f: LegendreFn, op: MonotoneOp, lam: float, w):
     """The unique y with w in grad f(y) + lam A(y), certified by residual."""
     _check_pairing(f, op, lam)
-    return _protoresolvent(f, op, lam, as_vector(w, f.dim), tolerances or DEFAULT_TOLERANCES)
+    return _protoresolvent(f, op, lam, as_vector(w, f.dim))
 
 
-def _protoresolvent(f, op, lam, w, tol):
-    return _certify(f, op, lam, w, _strategy(f, op, lam, w, tol), tol)[0]
+def _protoresolvent(f, op, lam, w):
+    return _certify(f, op, lam, w, _strategy(f, op, lam, w))[0]
 
 
 def _closed_form(f, op, lam):
@@ -238,14 +241,14 @@ def _closed_form(f, op, lam):
     return None
 
 
-def _strategy(f, op, lam, w, tol):
+def _strategy(f, op, lam, w):
     """The first strategy that fits the pairing; its y is certified by the caller."""
     closed = _closed_form(f, op, lam)
     if closed is not None:
         return closed(w)
 
     if isinstance(f, QuadraticForm) and f.is_identity and op.smooth_gradient() is not None:
-        return _solve_newton(f, op, lam, w, tol)
+        return _solve_newton(f, op, lam, w)
 
     if f.separable and op.separable:
         return _solve_separable(f, op, lam, w)
@@ -255,7 +258,7 @@ def _strategy(f, op, lam, w, tol):
     )
 
 
-def _strategy_rows(f, op, lam, tol):
+def _strategy_rows(f, op, lam):
     """w -> (y, errors) over the rows of a (k, dim) array.  The closed forms
     take all rows in one pass; any other pairing solves row by row through
     _strategy, and a row whose solve raises SolverError is left NaN with its
@@ -268,34 +271,32 @@ def _strategy_rows(f, op, lam, tol):
         y, errors = np.empty_like(w), {}
         for j, row in enumerate(w):
             try:
-                y[j] = _strategy(f, op, lam, row, tol)
+                y[j] = _strategy(f, op, lam, row)
             except SolverError as exc:
                 y[j], errors[j] = np.nan, exc
         return y, errors
     return by_row
 
 
-def solve_inclusion(inst: InclusionInstance, tolerances=None) -> InclusionSolution:
+def solve_inclusion(inst: InclusionInstance) -> InclusionSolution:
     """Unique (y, xi): y from the shifted protoresolvent, xi reconstructed exactly."""
-    return _solve(inst.f, inst.op, inst.lam, inst.eta, inst.f.gradient(inst.x),
-                  tolerances or DEFAULT_TOLERANCES)
+    return _solve(inst.f, inst.op, inst.lam, inst.eta, inst.f.gradient(inst.x))
 
 
-def _solve(f, op, lam, eta, gx, tol):
+def _solve(f, op, lam, eta, gx):
     w = lam * eta + gx  # gx = grad f(x)
-    y, residual = _certify(f, op, lam, w, _strategy(f, op, lam, w, tol), tol)
+    y, residual = _certify(f, op, lam, w, _strategy(f, op, lam, w))
     xi = eta - (f.gradient(y) - gx) / lam
     return InclusionSolution(y=y, xi=xi, inner_residual=residual)
 
 
-def verify_solution(inst: InclusionInstance, y, xi, tolerances=None) -> VerificationReport:
+def verify_solution(inst: InclusionInstance, y, xi) -> VerificationReport:
     """Report-only check of the two defining conditions of a candidate pair."""
     return _verify(inst.f, inst.op, inst.lam, inst.eta, inst.f.gradient(inst.x),
-                   as_vector(y, inst.f.dim), as_vector(xi, inst.f.dim),
-                   tolerances or DEFAULT_TOLERANCES)
+                   as_vector(y, inst.f.dim), as_vector(xi, inst.f.dim))
 
 
-def _verify(f, op, lam, eta, gx, y, xi, tol):
+def _verify(f, op, lam, eta, gx, y, xi):
     """The report for one candidate, or a report of per-row arrays for rows."""
     try:
         membership = op.membership_residual(y, xi)
@@ -305,27 +306,27 @@ def _verify(f, op, lam, eta, gx, y, xi, tol):
     return VerificationReport(
         membership_residual=membership,
         linear_residual=linear,
-        membership_pass=membership <= tol.membership,
-        linear_pass=linear <= tol.inner_residual * (1.0 + row_norm(eta)),
+        membership_pass=membership <= MEMBERSHIP_TOL,
+        linear_pass=linear <= INNER_RTOL * (1.0 + row_norm(eta)),
     )
 
 
-def holder_certify(f, op, lam, rho, beta, samples=10_000, seed=0, scale=3.0, tolerances=None):
-    """Sample the protoresolvent against the Holder bound with exponent 1/(rho-1).
+def holder_certify(f, op, lam, rho, beta, samples=10_000, seed=0):
+    """Sample the protoresolvent at pairs w drawn from [-3, 3]^dim against the
+    Holder bound with exponent 1/(rho-1).
 
     The caller asserts that grad f is uniformly monotone of power type rho with
     constant beta; the certified bound is free of lam.
     """
     _check_pairing(f, op, lam)
-    tol = tolerances or DEFAULT_TOLERANCES
     rng = np.random.default_rng(seed)
     exponent = 1.0 / (rho - 1.0)
     violations, max_violation = 0, -np.inf
     for _ in range(samples):
-        w1 = rng.uniform(-scale, scale, size=f.dim)
-        w2 = rng.uniform(-scale, scale, size=f.dim)
-        y1 = _protoresolvent(f, op, lam, w1, tol)
-        y2 = _protoresolvent(f, op, lam, w2, tol)
+        w1 = rng.uniform(-3.0, 3.0, size=f.dim)
+        w2 = rng.uniform(-3.0, 3.0, size=f.dim)
+        y1 = _protoresolvent(f, op, lam, w1)
+        y2 = _protoresolvent(f, op, lam, w2)
         bound = (float(np.linalg.norm(w1 - w2)) / beta) ** exponent + 1e-8
         gap = float(np.linalg.norm(y1 - y2)) - bound
         max_violation = max(max_violation, gap)
@@ -386,16 +387,15 @@ def pls_form(sigma, c, metric) -> StronglyImplicitSpec:
 DEFAULT_MAGNITUDES = (0.999, 0.75, 0.5, 0.25, 0.05)
 
 
-def radius_search(f, op, lam, x, spec: StronglyImplicitSpec, probes=64, r0=None,
-                  halving_depth=40, refine_depth=24, magnitudes=DEFAULT_MAGNITUDES,
-                  seed=0, tolerances=None):
+def radius_search(f, op, lam, x, spec: StronglyImplicitSpec, probes=64, halving_depth=40,
+                  refine_depth=24, magnitudes=DEFAULT_MAGNITUDES, seed=0):
     """Largest sampled radius r such that every probed eta with ||eta|| < r
     solves the inclusion system with Phi < Psi strictly.
 
-    Certified by sampling only: the halving schedule finds the first passing
-    level and a bisection sharpens the pass/fail boundary.  Each level solves,
-    certifies, verifies and scores its probes x magnitudes rows in one batched
-    pass and fails at its first failing row in probe order; if that row failed
+    Certified by sampling only: the halving schedule from 1 + ||x|| finds the
+    first passing level and a bisection sharpens the pass/fail boundary.  Each
+    level solves, certifies, verifies and scores its probes x magnitudes rows
+    in one batched pass and fails at its first failing row in probe order; if that row failed
     its certificate, the row's SolverError is raised.  Returns 0.0 when the
     budget is exhausted without a passing level.  In more than one
     dimension the probed directions cannot cover the sphere, so the result may
@@ -408,10 +408,9 @@ def radius_search(f, op, lam, x, spec: StronglyImplicitSpec, probes=64, r0=None,
         raise ValueError("probes must be at least 1")
     if not magnitudes or not all(0.0 < m <= 1.0 for m in magnitudes):
         raise ValueError("magnitudes must be a non-empty sequence in (0, 1]")
-    tol = tolerances or DEFAULT_TOLERANCES
     gx = require_finite(f.gradient(x), "grad f(x)")
 
-    y0 = _protoresolvent(f, op, lam, gx, tol)
+    y0 = _protoresolvent(f, op, lam, gx)
     xi0 = -(f.gradient(y0) - gx) / lam
     zero = np.zeros(f.dim)
     theta0 = spec.psi(zero, xi0, x, y0) - spec.phi(zero, xi0, x, y0)
@@ -422,17 +421,17 @@ def radius_search(f, op, lam, x, spec: StronglyImplicitSpec, probes=64, r0=None,
 
     directions = np.array(unit_directions(probes, f.dim, seed))
     scales = np.asarray(magnitudes, dtype=float)
-    solve_rows = _strategy_rows(f, op, lam, tol)
+    solve_rows = _strategy_rows(f, op, lam)
 
     def level_passes(r):
         # rows are direction-major, magnitude-minor: the probe order
         eta = ((scales * r)[None, :, None] * directions[:, None, :]).reshape(-1, f.dim)
         w = lam * eta + gx
         y, errors = solve_rows(w)
-        y, box, residual, bound = _certificate(f, op, lam, w, y, tol)
+        y, box, residual, bound = _certificate(f, op, lam, w, y)
         certified = ~box.empty & (residual <= bound)
         xi = eta - (f.gradient(y) - gx) / lam
-        ok = (certified & _verify(f, op, lam, eta, gx, y, xi, tol).passed
+        ok = (certified & _verify(f, op, lam, eta, gx, y, xi).passed
               & (spec.phi(eta, xi, x, y) < spec.psi(eta, xi, x, y)))
         if ok.all():
             return True
@@ -440,10 +439,10 @@ def radius_search(f, op, lam, x, spec: StronglyImplicitSpec, probes=64, r0=None,
         if not certified[j]:
             if j in errors:
                 raise errors[j]
-            _certify(f, op, lam, w[j], y[j], tol)  # raises this row's certificate error
+            _certify(f, op, lam, w[j], y[j])  # raises this row's certificate error
         return False
 
-    r = r0 if r0 is not None else 1.0 + float(np.linalg.norm(x))
+    r = 1.0 + float(np.linalg.norm(x))
     level = 0
     while level < halving_depth and not level_passes(r):
         r *= 0.5

@@ -65,18 +65,16 @@ def ss_radius_grid_oracle(x, sigma, mu, shift=0.0, r_max=2.0, points=200_000):
     return r_max
 
 
-def radius_search_scalar(f, op, lam, x, spec, probes=64, r0=None, halving_depth=40,
-                         refine_depth=24, magnitudes=(0.999, 0.75, 0.5, 0.25, 0.05),
-                         seed=0, tolerances=None):
+def radius_search_scalar(f, op, lam, x, spec, probes=64, halving_depth=40,
+                         refine_depth=24, magnitudes=(0.999, 0.75, 0.5, 0.25, 0.05), seed=0):
     """radius_search with its levels run one probe at a time through the
     single-vector cores, stopping at the first failing probe."""
     from proxlab.errors import StrongImplicitnessFailure
-    from proxlab.numerics import DEFAULT_TOLERANCES, unit_directions
+    from proxlab.numerics import unit_directions
     from proxlab.resolvent import _protoresolvent, _solve, _verify
 
-    tol = tolerances or DEFAULT_TOLERANCES
     gx = f.gradient(x)
-    y0 = _protoresolvent(f, op, lam, gx, tol)
+    y0 = _protoresolvent(f, op, lam, gx)
     xi0 = -(f.gradient(y0) - gx) / lam
     zero = np.zeros(f.dim)
     theta0 = spec.psi(zero, xi0, x, y0) - spec.phi(zero, xi0, x, y0)
@@ -88,14 +86,14 @@ def radius_search_scalar(f, op, lam, x, spec, probes=64, r0=None, halving_depth=
         for d in directions:
             for m in magnitudes:
                 eta = (m * r) * d
-                sol = _solve(f, op, lam, eta, gx, tol)
-                if not _verify(f, op, lam, eta, gx, sol.y, sol.xi, tol).passed:
+                sol = _solve(f, op, lam, eta, gx)
+                if not _verify(f, op, lam, eta, gx, sol.y, sol.xi).passed:
                     return False
                 if not spec.phi(eta, sol.xi, x, sol.y) < spec.psi(eta, sol.xi, x, sol.y):
                     return False
         return True
 
-    r = r0 if r0 is not None else 1.0 + float(np.linalg.norm(x))
+    r = 1.0 + float(np.linalg.norm(x))
     level = 0
     while level < halving_depth and not level_passes(r):
         r *= 0.5

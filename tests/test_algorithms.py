@@ -125,6 +125,23 @@ def test_terminate_clause_near_zero_converges():
     assert trace.final_residual <= 1e-8
 
 
+def test_terminate_clause_reads_the_run_zero_detect():
+    # a growing mu (ss) or a shrinking c (pls) shortens each step about tenfold;
+    # the clause must fire at the first step shorter than the run's zero_detect
+    # of 1e-3, which the 1e-8 default of the public steps would let pass
+    stop = alg.StopRule(max_iters=4, zero_detect=1e-3)
+    specs = [alg.RunSpec(scheme="ss", x0=np.array([1.0]), op=identity_op(1),
+                         mu=alg.Schedule.geometric(100.0, 10.0), sigma=0.5),
+             alg.RunSpec(scheme="pls", x0=np.array([1.0]), op=identity_op(1),
+                         c=alg.Schedule.geometric(0.01, 0.1))]
+    for spec in specs:
+        trace = alg.run(spec, alg.PerturbationPolicy.zero(), stop)
+        moves = [abs(b.x[0] - a.x[0]) for a, b in zip(trace.records, trace.records[1:])]
+        first = next(k for k, move in enumerate(moves) if move < 1e-3)
+        assert first == 1
+        assert [rec.note for rec in trace.records[1:first + 2]] == ["", "terminate"]
+
+
 def test_bregman_project_examples():
     f = euclidean(1)
     assert alg.bregman_project(f, [([1.0], 0.0)], [1.0])[0] == pytest.approx(0.0)
@@ -322,6 +339,12 @@ def test_step_scalar_guards_reject_nan():
         alg.ips_step(abs1, 1.0, np.nan, [2.0], [0.0])
     with pytest.raises(ValueError):
         alg.pls_step(abs1, 1.0, SpdMetric.identity(1), np.nan, 1.0, [2.0], [0.0])
+    for zero_detect in (np.nan, 0.0, np.inf):
+        with pytest.raises(ValueError):
+            alg.ss_step(abs1, 1.0, 0.5, [2.0], [0.0], zero_detect=zero_detect)
+        with pytest.raises(ValueError):
+            alg.pls_step(abs1, 1.0, SpdMetric.identity(1), 0.5, 1.0, [2.0], [0.0],
+                         zero_detect=zero_detect)
     with pytest.raises(ConfigError):
         alg.RunSpec(scheme="ss", x0=np.ones(1), op=abs1, sigma=np.nan)
     with pytest.raises(ConfigError):

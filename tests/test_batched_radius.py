@@ -7,7 +7,7 @@ from oracles import radius_search_scalar
 from proxlab import resolvent
 from proxlab.errors import SolverError, StrongImplicitnessFailure
 from proxlab.legendre import CoshSum, QuadraticForm, euclidean
-from proxlab.numerics import DEFAULT_TOLERANCES, SpdMetric, random_spd_matrix
+from proxlab.numerics import SpdMetric, random_spd_matrix
 from proxlab.operators import Affine, GradientOfConvex, NormalConeBox, OperatorSum, SubdiffAbs
 from proxlab.resolvent import ips_form, pls_form, radius_search, ss_form
 
@@ -70,8 +70,8 @@ def _fail_certificate_at(monkeypatch, w_target):
     original = resolvent._certificate
     hits = []
 
-    def certificate(f, op, lam, w, y, tol):
-        y, box, residual, bound = original(f, op, lam, w, y, tol)
+    def certificate(f, op, lam, w, y):
+        y, box, residual, bound = original(f, op, lam, w, y)
         hit = w[..., 0] == w_target
         hits.append(int(np.sum(hit)))
         residual = np.where(hit, np.inf, residual)
@@ -90,7 +90,7 @@ SS_CASE = (euclidean(1), SubdiffAbs(1.0, np.zeros(1)), 1.0, np.array([2.0]), ss_
 def test_earlier_score_failure_hides_a_later_certificate_failure(monkeypatch, search):
     f, op, lam, x, spec = SS_CASE
     eta = np.array([0.999 * 3.0])
-    sol = resolvent._solve(f, op, lam, eta, f.gradient(x), DEFAULT_TOLERANCES)
+    sol = resolvent._solve(f, op, lam, eta, f.gradient(x))
     assert not spec.phi(eta, sol.xi, x, sol.y) < spec.psi(eta, sol.xi, x, sol.y)
     hits = _fail_certificate_at(monkeypatch, float(x[0] + lam * (-0.05 * 3.0)))  # the last row
     assert search(f, op, lam, x, spec, halving_depth=1) == 0.0

@@ -180,19 +180,23 @@ def test_no_temp_leftovers(tmp_path, capsys):
     assert stray == []
 
 
-def test_seed_env_override(tmp_path, capsys, monkeypatch):
+def test_seed_env_is_ignored(tmp_path, capsys, monkeypatch):
+    # the config's seed is the only seed: the sidecar must echo the seed the run used
     path, _ = _eckstein_config(
         tmp_path,
         policy={"kind": "summable_geometric", "c": 0.1, "q": 0.5},
         seed=1,
         output_path=str(tmp_path / "env.csv"),
     )
-    assert cli.main(["run", str(path)]) == 0
-    baseline = (tmp_path / "env.csv").read_text()
-    monkeypatch.setenv("PROXLAB_SEED", "99")
-    assert cli.main(["run", str(path)]) == 0
-    overridden = (tmp_path / "env.csv").read_text()
-    assert overridden != baseline
+    monkeypatch.delenv("PROXLAB_SEED", raising=False)
+    outputs = []
+    for env in (None, "99"):
+        if env is not None:
+            monkeypatch.setenv("PROXLAB_SEED", env)
+        assert cli.main(["run", str(path)]) == 0
+        outputs.append(((tmp_path / "env.csv").read_text(),
+                        (tmp_path / "env.csv.json").read_text()))
+    assert outputs[1] == outputs[0]
     capsys.readouterr()
 
 
@@ -320,6 +324,11 @@ def _schema_config(scheme="eckstein", **overrides):
     # ss, ips and pls fix their own geometry
     (_schema_config("ss", legendre="cosh"), "legendre"),
     (_schema_config("pls", legendre="quadratic:diag=2"), "legendre"),
+    # the seed is a non-negative integer, not a float, bool or string
+    (_schema_config(seed=-1), "seed"),
+    (_schema_config(seed=1.7), "seed"),
+    (_schema_config(seed=True), "seed"),
+    (_schema_config(seed="7"), "seed"),
 ])
 def test_parse_config_schema_is_closed(cfg, field):
     with pytest.raises(ConfigError) as info:

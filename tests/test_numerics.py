@@ -4,8 +4,8 @@ from numpy.testing import assert_allclose
 
 from proxlab.errors import DimensionMismatch, NotSpd
 from oracles import halton_points_scalar
-from proxlab.numerics import (SpdMetric, Tolerances, as_vector, halton_points, pairing,
-                              random_spd_matrix, row_dot, row_norm)
+from proxlab.numerics import (SpdMetric, as_vector, halton_points, pairing, random_spd_matrix,
+                              row_dot, row_norm)
 
 
 def test_pairing_values():
@@ -83,15 +83,6 @@ def test_as_vector_validation():
         as_vector([np.inf])
     with pytest.raises(DimensionMismatch):
         as_vector([1.0, 2.0], dim=3)
-
-
-def test_tolerances_positive():
-    with pytest.raises(ValueError):
-        Tolerances(inner_residual=0.0)
-    with pytest.raises(ValueError):
-        Tolerances(membership=-1e-9)
-    t = Tolerances()
-    assert t.inner_residual == 1e-10 and t.membership == 1e-8 and t.zero_detect == 1e-8
 
 
 def test_halton_extension_keeps_low_dims():

@@ -273,11 +273,9 @@ def test_lambda_guards_reject_nan_and_inf(lam):
 def test_certificate_rejects_nan_residual():
     # a NaN candidate must fail the certificate, not pass it by comparison
     from proxlab.errors import SolverError
-    from proxlab.numerics import DEFAULT_TOLERANCES
     from proxlab.resolvent import _certify
     with pytest.raises(SolverError):
-        _certify(euclidean(1), SubdiffAbs(1.0, np.zeros(1)), 1.0, np.ones(1),
-                 np.array([np.nan]), DEFAULT_TOLERANCES)
+        _certify(euclidean(1), SubdiffAbs(1.0, np.zeros(1)), 1.0, np.ones(1), np.array([np.nan]))
 
 
 def test_radius_search_nan_form_is_not_strongly_implicit():
