@@ -11,16 +11,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch
-from .numerics import SpdMetric, as_vector, pairing, row_norm
+from .numerics import SpdMetric, as_vector, pairing
 
 
 class LegendreFn:
     """Base class: value/gradient/gradient-inverse plus conjugacy helpers.
     The methods take length-`dim` float vectors and do not check them;
-    `gradient` and `grad_inverse` also take (k, dim) rows, one result per row.
-    A row gets the bits of the single-vector call, except that the power
-    kinds raise row norms to powers with numpy's array power, which can differ
-    from the scalar power by an ulp."""
+    `gradient` and `grad_inverse` also take (k, dim) rows, one result per row,
+    and a row gets the bits of the single-vector call."""
 
     kind = "abstract"
     dim: int
@@ -47,15 +45,10 @@ class LegendreFn:
         """Closed-form f*(u) when the catalog provides one, else None."""
         return None
 
-    # Coordinate interface used by the separable inclusion solver.
     @property
     def separable(self) -> bool:
+        """Whether coordinate i of grad f depends on x_i alone."""
         return self.dim == 1
-
-    def coord_grad(self, i: int, t: float) -> float:
-        if self.dim != 1:
-            raise DimensionMismatch(f"{self.kind} has no coordinate-wise gradient")
-        return float(self.gradient(np.array([t]))[0])
 
     def spec_string(self) -> str:
         raise NotImplementedError
@@ -96,9 +89,6 @@ class QuadraticForm(LegendreFn):
     def separable(self) -> bool:
         return self.metric.is_diagonal
 
-    def coord_grad(self, i, t):
-        return float(self.metric.matrix[i, i] * t)
-
     def spec_string(self):
         if self.is_identity:
             return "quadratic"
@@ -133,9 +123,6 @@ class CoshSum(LegendreFn):
         u = np.asarray(u, dtype=float)
         return float(np.sum(u * np.arcsinh(u) - np.sqrt(1.0 + u * u)))
 
-    def coord_grad(self, i, t):
-        return float(np.sinh(t))
-
     def spec_string(self):
         return "cosh"
 
@@ -159,12 +146,10 @@ class PowerEuclidean(LegendreFn):
         return float(np.linalg.norm(x) ** self.rho / self.rho)
 
     def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        return _radial(row_norm(x), self.rho - 2.0, x)
+        return _radial(x, 2.0, self.rho - 1.0)
 
     def grad_inverse(self, u):
-        u = np.asarray(u, dtype=float)
-        return _radial(row_norm(u), (2.0 - self.rho) / (self.rho - 1.0), u)
+        return _radial(u, 2.0, 1.0 / (self.rho - 1.0))
 
     def conj_hessian(self, u):
         """n^(r-2) (I + (r-2) v v^T) with r = rho/(rho-1), n = ||u||, v = u/n;
@@ -178,11 +163,6 @@ class PowerEuclidean(LegendreFn):
         rho_star = self.rho / (self.rho - 1.0)
         return float(np.linalg.norm(u) ** rho_star / rho_star)
 
-    def coord_grad(self, i, t):
-        if self.dim != 1:
-            raise DimensionMismatch("power_euclidean is coordinate-wise only in 1-D")
-        return float(np.sign(t) * abs(t) ** (self.rho - 1.0))
-
     def spec_string(self):
         return f"power:rho={self.rho!r}"
 
@@ -190,8 +170,8 @@ class PowerEuclidean(LegendreFn):
 class PowerP(LegendreFn):
     """f(x) = (1/rho) ||x||_p^rho for the finite-dimensional p-norm, p, rho > 1.
 
-    The gradient N^{rho-p} sign(x_i)|x_i|^{p-1} (N = ||x||_p) is continuous for
-    p > 1 and vanishes at the origin; its inverse comes from the dual-norm
+    The gradient N^{rho-1} sign(x_i)(|x_i|/N)^{p-1} (N = ||x||_p) is continuous
+    for p > 1 and vanishes at the origin; its inverse comes from the dual-norm
     identity ||grad f(x)||_q = N^{rho-1} with q = p/(p-1).
     """
 
@@ -204,27 +184,15 @@ class PowerP(LegendreFn):
         self.rho = float(rho)
         self.dim = int(dim)
 
-    @staticmethod
-    def _norm(x, p):
-        """||x||_p over the last axis: a float for one vector, an array for rows."""
-        s = np.sum(np.abs(x) ** p, axis=-1)
-        return float(s ** (1.0 / p)) if s.ndim == 0 else s ** (1.0 / p)
-
     def value(self, x) -> float:
-        return self._norm(x, self.p) ** self.rho / self.rho
+        return float(_norm(x, self.p)[0] ** self.rho / self.rho)
 
     def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        return _radial(self._norm(x, self.p), self.rho - self.p, np.sign(x) * np.abs(x) ** (self.p - 1.0))
+        return _radial(x, self.p, self.rho - 1.0)
 
     def grad_inverse(self, u):
-        u = np.asarray(u, dtype=float)
-        q = self.p / (self.p - 1.0)
-        # n = ||u||_q^(1/(rho-1)) enters as n^((p-rho)/(p-1))
-        nq = self._norm(u, q)
-        n = nq ** (1.0 / (self.rho - 1.0))
-        return _radial(n, (self.p - self.rho) / (self.p - 1.0),
-                       np.sign(u) * np.abs(u) ** (1.0 / (self.p - 1.0)), zero=nq)
+        # ||x||_p = ||u||_q^(1/(rho-1)), and x / ||x||_p = sign(u)(|u| / ||u||_q)^(q-1)
+        return _radial(u, self.p / (self.p - 1.0), 1.0 / (self.rho - 1.0))
 
     def conj_hessian(self, u):
         """N^(r-2) ((q-1) diag t^(q-2) + (r-q) s s^T) with q = p/(p-1),
@@ -234,8 +202,7 @@ class PowerP(LegendreFn):
         q = self.p / (self.p - 1.0)
         r = self.rho / (self.rho - 1.0)
         au = np.maximum(np.abs(u), _TINY)
-        top = float(np.max(au))
-        n = top * self._norm(au / top, q)  # ||au||_q without underflow
+        n = _norm(au, q)[0]
         t = au / n
         s = np.where(u < 0.0, -1.0, 1.0) * t ** (q - 1.0)
         return n ** (r - 2.0) * ((q - 1.0) * np.diag(t ** (q - 2.0)) + (r - q) * np.outer(s, s))
@@ -243,12 +210,7 @@ class PowerP(LegendreFn):
     def closed_form_conjugate(self, u):
         q = self.p / (self.p - 1.0)
         rho_star = self.rho / (self.rho - 1.0)
-        return self._norm(u, q) ** rho_star / rho_star
-
-    def coord_grad(self, i, t):
-        if self.dim != 1:
-            raise DimensionMismatch("power_p is coordinate-wise only in 1-D")
-        return float(np.sign(t) * abs(t) ** (self.rho - 1.0))
+        return float(_norm(u, q)[0] ** rho_star / rho_star)
 
     def spec_string(self):
         return f"powerp:p={self.p!r},rho={self.rho!r}"
@@ -257,14 +219,25 @@ class PowerP(LegendreFn):
 _TINY = np.finfo(float).tiny
 
 
-def _radial(n, exponent, v, zero=None):
-    """n^exponent v for one vector (n a float) or for each row (n an array),
-    and 0 where the norm `zero` (n itself by default) vanishes."""
-    zero = n if zero is None else zero
-    if np.ndim(n) == 0:
-        return n ** exponent * v if zero != 0.0 else np.zeros_like(v)
+def _norm(x, p):
+    """||x||_p over the last axis, kept as an axis of length 1 (so that a
+    vector and the rows of a stack go through the same array kernels) and
+    free of overflow: by hypot for p = 2, else relative to max |x_i|."""
+    ax = np.abs(x)
+    if p == 2.0:
+        return np.hypot.reduce(ax, axis=-1, keepdims=True)
+    top = np.maximum.reduce(ax, axis=-1, keepdims=True)
+    return top * np.add.reduce((ax / np.where(top > 0.0, top, 1.0)) ** p, axis=-1, keepdims=True) ** (1.0 / p)
+
+
+def _radial(v, p, exponent):
+    """N^exponent sign(v) (|v| / N)^(p-1) with N = ||v||_p, and 0 where v
+    vanishes: the power kinds' gradients and inverses, with no power that
+    overflows before the result does."""
+    v = np.asarray(v, dtype=float)
+    n = _norm(v, p)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where((zero != 0.0)[:, None], (n ** exponent)[:, None] * v, 0.0)
+        return np.where(n != 0.0, n ** exponent * (np.sign(v) * (np.abs(v) / n) ** (p - 1.0)), 0.0)
 
 
 def euclidean(dim) -> QuadraticForm:

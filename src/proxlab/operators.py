@@ -2,8 +2,8 @@
 
 Values are never materialized as sets: every catalog kind evaluates to an
 axis-aligned box (a product of closed intervals, possibly unbounded), which
-makes membership distances, min/max selections, kinks, and Minkowski sums of
-values exact.  All interaction goes through residual oracles.  The value
+makes membership distances, min/max selections and Minkowski sums of values
+exact.  All interaction goes through residual oracles.  The value
 oracle takes one vector or the rows of a (k, dim) array; a row gets the bits
 of the single-vector call.
 """
@@ -43,9 +43,9 @@ class ValueBox:
 
 
 class MonotoneOp:
-    """Base class. Subclasses fill in value boxes and the coordinate view.
-    The oracles take length-`dim` float vectors, or (k, dim) rows, and do not
-    check them."""
+    """Base class. Subclasses fill in value boxes and the structure the
+    solvers route on.  The oracles take length-`dim` float vectors, or
+    (k, dim) rows, and do not check them."""
 
     kind = "abstract"
     dim: int
@@ -56,11 +56,6 @@ class MonotoneOp:
         """A(y) as a box, or one box per row of a (k, dim) array.  A single
         vector with an empty value raises EmptyOperatorValue; rows report
         empty values in the box's `empty` mask."""
-        raise NotImplementedError
-
-    def coord_box(self, i: int, t: float):
-        """(lo, hi) of the i-th coordinate of A at a scalar t, for the
-        separable bisection."""
         raise NotImplementedError
 
     def membership_residual(self, y, xi):
@@ -74,10 +69,6 @@ class MonotoneOp:
     def separable(self) -> bool:
         return True
 
-    def coord_kinks(self, i: int):
-        """Points where the i-th coordinate map is set-valued or jumps."""
-        return ()
-
     @property
     def domain(self):
         """Per-coordinate bounds (lo, hi) of the admissible points, closed;
@@ -90,6 +81,10 @@ class MonotoneOp:
 
     def as_subdiff_abs(self):
         """(weight, shift) when the operator is d(w ||. - s||_1), else None."""
+        return None
+
+    def as_box(self):
+        """(lower, upper) when the operator is the normal cone of that box, else None."""
         return None
 
     def smooth_gradient(self):
@@ -148,17 +143,6 @@ class SubdiffAbs(MonotoneOp):
         w = self.weight
         return ValueBox(np.where(y > self.shift, w, -w), np.where(y < self.shift, -w, w))
 
-    def coord_box(self, i, t):
-        s, w = self.shift[i], self.weight
-        if t < s:
-            return (-w, -w)
-        if t > s:
-            return (w, w)
-        return (-w, w)
-
-    def coord_kinks(self, i):
-        return (self.shift[i],)
-
     def as_subdiff_abs(self):
         return (self.weight, self.shift)
 
@@ -191,12 +175,6 @@ class Affine(MonotoneOp):
         # one matrix-vector product per row, each with the single-vector bits
         v = (self.matrix @ np.asarray(y)[..., None])[..., 0] + self.offset
         return ValueBox(v, v)
-
-    def coord_box(self, i, t):
-        if not self.separable:
-            raise DimensionMismatch("non-diagonal affine operator has no coordinate view")
-        v = self.matrix[i, i] * t + self.offset[i]
-        return (v, v)
 
     @property
     def separable(self):
@@ -243,24 +221,11 @@ class NormalConeBox(MonotoneOp):
             lo[empty] = hi[empty] = np.nan
         return ValueBox(lo, hi, empty)
 
-    def coord_box(self, i, t):
-        lo, hi = self.lower[i], self.upper[i]
-        if t < lo or t > hi:
-            raise EmptyOperatorValue(f"empty operator value: coordinate {i} = {t} outside [{lo}, {hi}]")
-        at_lo, at_hi = t == lo, t == hi
-        if at_lo and at_hi:
-            return (-np.inf, np.inf)
-        if at_lo:
-            return (-np.inf, 0.0)
-        if at_hi:
-            return (0.0, np.inf)
-        return (0.0, 0.0)
-
-    def coord_kinks(self, i):
-        return (self.lower[i], self.upper[i])
-
     @property
     def domain(self):
+        return (self.lower, self.upper)
+
+    def as_box(self):
         return (self.lower, self.upper)
 
     def spec_string(self):
@@ -313,13 +278,6 @@ class GradientOfConvex(MonotoneOp):
         v = self.gradient(y)
         return ValueBox(v, v)
 
-    def coord_box(self, i, t):
-        if self.profile == "norm4" and self.dim > 1:
-            raise DimensionMismatch("norm4 profile has no coordinate view beyond 1-D")
-        d = t - self.shift[i]
-        v = self.weight * (np.tanh(d) if self.profile == "logcosh" else d ** 3)
-        return (float(v), float(v))
-
     @property
     def separable(self):
         return self.profile != "norm4" or self.dim == 1
@@ -344,10 +302,6 @@ class Scaled(MonotoneOp):
         self.inner = inner
         self.dim = inner.dim
 
-    def coord_box(self, i, t):
-        lo, hi = self.inner.coord_box(i, t)
-        return (self.lam * lo, self.lam * hi)
-
     def value_box(self, y):
         box = self.inner.value_box(y)
         return ValueBox(self.lam * box.lo, self.lam * box.hi, box.empty)
@@ -355,9 +309,6 @@ class Scaled(MonotoneOp):
     @property
     def separable(self):
         return self.inner.separable
-
-    def coord_kinks(self, i):
-        return self.inner.coord_kinks(i)
 
     @property
     def domain(self):
@@ -374,6 +325,9 @@ class Scaled(MonotoneOp):
         if base is None:
             return None
         return (self.lam * base[0], base[1])
+
+    def as_box(self):
+        return self.inner.as_box()  # a positive multiple of a normal cone is that cone
 
     def smooth_gradient(self):
         base = self.inner.smooth_gradient()
@@ -406,13 +360,6 @@ class OperatorSum(MonotoneOp):
             lo, hi = np.maximum(lo, tlo), np.minimum(hi, thi)
         self._domain = (lo, hi)
 
-    def coord_box(self, i, t):
-        lo = hi = 0.0
-        for term in self.terms:
-            tlo, thi = term.coord_box(i, t)
-            lo, hi = lo + tlo, hi + thi
-        return (lo, hi)
-
     def value_box(self, y):
         lo = np.zeros(self.dim)
         hi = np.zeros(self.dim)
@@ -425,12 +372,6 @@ class OperatorSum(MonotoneOp):
     @property
     def separable(self):
         return all(t.separable for t in self.terms)
-
-    def coord_kinks(self, i):
-        ks = []
-        for t in self.terms:
-            ks.extend(t.coord_kinks(i))
-        return tuple(sorted(set(ks)))
 
     @property
     def domain(self):

@@ -1,16 +1,18 @@
 """Protoresolvent evaluation and the inexact-inclusion machinery.
 
 The protoresolvent w -> (grad f + lam A)^{-1}(w) is single-valued and globally
-defined for every catalog pairing; strict monotonicity of grad f + lam A makes
-monotone bracketing sound, which is what the generic 1-D strategy relies on.
-Every strategy certifies its output against the residual
-||grad f(y) + lam xi_hat - w|| before returning.  The closed forms, the
-certificate, the verification and the score forms also run over the rows of
-a (k, dim) array, which is how a radius-search level is solved.
+defined for every catalog pairing.  It is solved by a closed form, by damped
+Newton, or, when f and A act coordinate by coordinate, by a multisection on
+the ordered doubles, which strict monotonicity of grad f + lam A makes sound.
+Each strategy, the residual certificate ||grad f(y) + lam xi_hat - w||, the
+verification and the score forms take one vector or the rows of a (k, dim)
+array (a row with the bits of the single-vector call), which is how a
+radius-search level and a Holder certification are solved.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,91 +69,65 @@ class VerificationReport:
         return self.membership_pass & self.linear_pass
 
 
-#  scalar strategy: kink candidates + monotone bisection
+#  separable strategy: multisection over the ordered doubles
 
-def _coord_residual(f, op, i, lam, w, t):
-    """Residual of the scalar inclusion at t, with the best selection from A."""
-    g = f.coord_grad(i, t)
-    lo, hi = op.coord_box(i, t)
-    a = min(max((w - g) / lam, lo), hi)
-    return g + lam * a - w
+_SIGN = np.uint64(1 << 63)
+_MAGNITUDE = np.int64((1 << 63) - 1)
+_MAX = np.finfo(float).max
+# trial points per row and pass, shared among the coordinates, with at least 8
+# parts per coordinate; a pass costs mostly its fixed numpy overhead at these
+# sizes, and this split measured fastest over dims 1-64
+_TRIALS = 128
+_BLOCK = 64        # rows per multisection block, which bounds its arrays
 
 
-def _solve_coord(f, op, i, lam, w, dlo, dhi):
-    # candidate kinks and finite domain endpoints, tested exactly
-    candidates = set(op.coord_kinks(i))
-    for e in (dlo, dhi):
-        if np.isfinite(e):
-            candidates.add(e)
-    best, best_res = None, np.inf
-    for k in sorted(candidates):
-        if k < dlo or k > dhi:
-            continue
-        r = abs(_coord_residual(f, op, i, lam, w, k))
-        if r < best_res:
-            best, best_res = k, r
-    if best is not None and best_res <= 1e-12 * (1.0 + abs(w)):
-        return best
+def _key(x):
+    """The order-preserving map of doubles onto uint64 (-0 just below +0):
+    negative doubles flip their magnitude bits, then the sign bit flips."""
+    bits = np.asarray(x, dtype=float).view(np.int64)
+    return (bits ^ ((bits >> 63) & _MAGNITUDE)).view(np.uint64) ^ _SIGN
 
-    # bracket [a, b] with the solution strictly inside; the lo selection at the
-    # left end and the hi selection at the right end give valid signs, and the
-    # expansion terminates because grad f is super-coercive
-    def g_lo(t):
-        lo, _ = op.coord_box(i, t)
-        return f.coord_grad(i, t) + lam * lo - w
 
-    def g_hi(t):
-        _, hi = op.coord_box(i, t)
-        return f.coord_grad(i, t) + lam * hi - w
-
-    center = 0.0
-    if np.isfinite(dlo) and np.isfinite(dhi):
-        center = 0.5 * (dlo + dhi)
-    elif np.isfinite(dlo):
-        center = dlo + 1.0
-    elif np.isfinite(dhi):
-        center = dhi - 1.0
-    radius = 1.0
-    a = max(center - radius, dlo)
-    b = min(center + radius, dhi)
-    for _ in range(200):
-        left_ok = a == dlo or g_lo(a) <= 0.0
-        right_ok = b == dhi or g_hi(b) >= 0.0
-        if left_ok and right_ok:
-            break
-        radius *= 2.0
-        a = max(center - radius, dlo)
-        b = min(center + radius, dhi)
-    else:
-        raise SolverError("bracket expansion failed for the scalar inclusion", residual=np.inf)
-
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        if m <= a or m >= b:
-            break
-        lo, hi = op.coord_box(i, m)
-        g = f.coord_grad(i, m)
-        if g + lam * hi < w:
-            a = m
-        elif g + lam * lo > w:
-            b = m
-        else:
-            return m
-        if b - a <= 4.0 * np.finfo(float).eps * max(1.0, abs(a), abs(b)):
-            break
-
-    # sweep the final bracket plus any kink caught inside it
-    finals = {a, b, 0.5 * (a + b)}
-    pad = 8.0 * (b - a) + 1e-30
-    for k in candidates:
-        if a - pad <= k <= b + pad and dlo <= k <= dhi:
-            finals.add(k)
-    return min(finals, key=lambda t: abs(_coord_residual(f, op, i, lam, w, t)))
+def _double(key):
+    """The double of a key: the inverse of _key."""
+    bits = (key ^ _SIGN).view(np.int64)
+    return (bits ^ ((bits >> 63) & _MAGNITUDE)).view(np.float64)
 
 
 def _solve_separable(f, op, lam, w):
-    dlo, dhi = (np.full(f.dim, bound) if np.ndim(bound) == 0 else bound for bound in op.domain)
-    return np.array([_solve_coord(f, op, i, lam, w[i], dlo[i], dhi[i]) for i in range(f.dim)])
+    """Per coordinate, the least double y with grad f(y) + lam hi(A(y)) >= w:
+    the solution when it is a double (a kink, a box face), else the next
+    double above it.  Each coordinate keeps a key a strictly left of y and a
+    key b at or right of it; a pass splits (a, b] into parts that depend on
+    dim only, and the trial points left of y, a prefix by strict
+    monotonicity, are counted.
+    """
+    rows = np.atleast_2d(w)
+    dim = rows.shape[1]
+    parts = max(8, _TRIALS // dim)
+    j = np.arange(1, parts, dtype=np.uint64)[:, None]
+    lo, hi = (np.clip(np.broadcast_to(bound, dim), -_MAX, _MAX) for bound in op.domain)
+    y = np.empty_like(rows)
+    for start in range(0, len(rows), _BLOCK):
+        target = rows[start:start + _BLOCK, None]
+        a = np.broadcast_to(_key(lo) - 1, (len(target), dim))  # never evaluated
+        width = _key(hi) - a  # b = a + width
+        passes, top = 0, int(width.max())  # a pass leaves at most ceil(width / parts)
+        while top > 1:
+            passes, top = passes + 1, -(-top // parts)
+        # the probes span the whole double range, where f and A overflow
+        with np.errstate(all="ignore"):
+            for _ in range(passes):
+                # trial k of the pass is a + k step + min(k, rem): k = 0 is a, k = parts is b
+                step, rem = np.divmod(width, parts)
+                trial = _double(a[:, None] + j * step[:, None] + np.minimum(j, rem[:, None]))
+                t = trial.reshape(-1, dim)
+                value = (f.gradient(t) + lam * op.value_box(t).hi).reshape(trial.shape)
+                count = np.count_nonzero(value < target, axis=1).astype(np.uint64)
+                a = a + count * step + np.minimum(count, rem)
+                width = step + (count < rem)
+        y[start:start + _BLOCK] = _double(a + width) + 0.0  # + 0.0 turns -0 into 0
+    return y if np.ndim(w) == 2 else y[0]
 
 
 def _solve_newton(f, op, lam, w):
@@ -211,7 +187,7 @@ def protoresolvent(f: LegendreFn, op: MonotoneOp, lam: float, w):
 
 
 def _protoresolvent(f, op, lam, w):
-    return _certify(f, op, lam, w, _strategy(f, op, lam, w))[0]
+    return _certify(f, op, lam, w, _solver(f, op, lam)(w))[0]
 
 
 def _closed_form(f, op, lam):
@@ -229,53 +205,59 @@ def _closed_form(f, op, lam):
             # constant operator: reduces to the gradient inverse
             return lambda w: f.grad_inverse(w - lam * b)
 
-    if isinstance(f, QuadraticForm) and f.is_identity:
-        abs_form = op.as_subdiff_abs()
-        if abs_form is not None:
-            weight, shift = abs_form
-
+    if not f.separable:
+        return None
+    abs_form = op.as_subdiff_abs()
+    if abs_form is not None:
+        weight, shift = abs_form
+        if isinstance(f, QuadraticForm) and f.is_identity:
             def soft_threshold(w):
                 d = w - shift
                 return shift + np.sign(d) * np.maximum(np.abs(d) - lam * weight, 0.0)
             return soft_threshold
+
+        gs = f.gradient(shift)
+
+        def shrink(w):
+            # y = s while |w - grad f(s)| <= lam weight, else past the threshold crossed
+            d = w - gs
+            excess = np.abs(d) - lam * weight
+            return np.where(excess <= 0.0, shift, f.grad_inverse(gs + np.sign(d) * excess))
+        return shrink
+
+    box = op.as_box()
+    if box is not None:
+        return lambda w: np.clip(f.grad_inverse(w), *box)
     return None
 
 
-def _strategy(f, op, lam, w):
-    """The first strategy that fits the pairing; its y is certified by the caller."""
+def _solver(f, op, lam):
+    """w -> y, over one vector or the rows of a (k, dim) array, for the first
+    strategy that fits the pairing; each row gets the bits of the
+    single-vector call, and the caller certifies y.  Newton solves rows one
+    at a time and leaves a row whose solve raises SolverError NaN, so that
+    the row fails its certificate."""
     closed = _closed_form(f, op, lam)
     if closed is not None:
-        return closed(w)
+        return closed
 
     if isinstance(f, QuadraticForm) and f.is_identity and op.smooth_gradient() is not None:
-        return _solve_newton(f, op, lam, w)
+        def newton(w):
+            if w.ndim == 1:
+                return _solve_newton(f, op, lam, w)
+            y = np.full_like(w, np.nan)
+            for j, row in enumerate(w):
+                with suppress(SolverError):
+                    y[j] = _solve_newton(f, op, lam, row)
+            return y
+        return newton
 
     if f.separable and op.separable:
-        return _solve_separable(f, op, lam, w)
+        return lambda w: _solve_separable(f, op, lam, w)
 
     raise NoStrategy(
         f"no solver strategy for f={f.spec_string()} with A={op.spec_string()} in dim {f.dim}"
     )
-
-
-def _strategy_rows(f, op, lam):
-    """w -> (y, errors) over the rows of a (k, dim) array.  The closed forms
-    take all rows in one pass; any other pairing solves row by row through
-    _strategy, and a row whose solve raises SolverError is left NaN with its
-    error kept under the row index."""
-    closed = _closed_form(f, op, lam)
-    if closed is not None:
-        return lambda w: (closed(w), {})
-
-    def by_row(w):
-        y, errors = np.empty_like(w), {}
-        for j, row in enumerate(w):
-            try:
-                y[j] = _strategy(f, op, lam, row)
-            except SolverError as exc:
-                y[j], errors[j] = np.nan, exc
-        return y, errors
-    return by_row
 
 
 def solve_inclusion(inst: InclusionInstance) -> InclusionSolution:
@@ -285,7 +267,7 @@ def solve_inclusion(inst: InclusionInstance) -> InclusionSolution:
 
 def _solve(f, op, lam, eta, gx):
     w = lam * eta + gx  # gx = grad f(x)
-    y, residual = _certify(f, op, lam, w, _strategy(f, op, lam, w))
+    y, residual = _certify(f, op, lam, w, _solver(f, op, lam)(w))
     xi = eta - (f.gradient(y) - gx) / lam
     return InclusionSolution(y=y, xi=xi, inner_residual=residual)
 
@@ -319,26 +301,31 @@ def holder_certify(f, op, lam, rho, beta, samples=10_000, seed=0):
     constant beta; the certified bound is free of lam.
     """
     _check_pairing(f, op, lam)
-    rng = np.random.default_rng(seed)
     exponent = 1.0 / (rho - 1.0)
-    violations, max_violation = 0, -np.inf
-    for _ in range(samples):
-        w1 = rng.uniform(-3.0, 3.0, size=f.dim)
-        w2 = rng.uniform(-3.0, 3.0, size=f.dim)
-        y1 = _protoresolvent(f, op, lam, w1)
-        y2 = _protoresolvent(f, op, lam, w2)
-        bound = (float(np.linalg.norm(w1 - w2)) / beta) ** exponent + 1e-8
-        gap = float(np.linalg.norm(y1 - y2)) - bound
-        max_violation = max(max_violation, gap)
-        if gap > 0.0:
-            violations += 1
+    # one row per w, pair-major: the stream order of drawing w1 then w2 per pair
+    w = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(samples, 2, f.dim))
+    rows = w.reshape(-1, f.dim)
+    y, certified = _certified_rows(_solver(f, op, lam), f, op, lam, rows)
+    if not certified.all():
+        _protoresolvent(f, op, lam, rows[np.argmin(certified)])  # raises that row's error
+    y = y.reshape(w.shape)
+    bound = (row_norm(w[:, 0] - w[:, 1]) / beta) ** exponent + 1e-8
+    gap = row_norm(y[:, 0] - y[:, 1]) - bound
+    violations = int(np.sum(gap > 0.0))
     return {
         "samples": samples,
         "violations": violations,
-        "max_violation": max_violation,
+        "max_violation": float(np.max(gap, initial=-np.inf)),
         "exponent": exponent,
         "passed": violations == 0,
     }
+
+
+def _certified_rows(solve, f, op, lam, w):
+    """y = solve(w) for each row of w, clamped to the domain, and the mask of
+    the rows whose residual certificate holds."""
+    y, box, residual, bound = _certificate(f, op, lam, w, solve(w))
+    return y, ~box.empty & (residual <= bound)
 
 
 #  strongly implicit score forms
@@ -421,15 +408,13 @@ def radius_search(f, op, lam, x, spec: StronglyImplicitSpec, probes=64, halving_
 
     directions = np.array(unit_directions(probes, f.dim, seed))
     scales = np.asarray(magnitudes, dtype=float)
-    solve_rows = _strategy_rows(f, op, lam)
+    solve = _solver(f, op, lam)
 
     def level_passes(r):
         # rows are direction-major, magnitude-minor: the probe order
         eta = ((scales * r)[None, :, None] * directions[:, None, :]).reshape(-1, f.dim)
         w = lam * eta + gx
-        y, errors = solve_rows(w)
-        y, box, residual, bound = _certificate(f, op, lam, w, y)
-        certified = ~box.empty & (residual <= bound)
+        y, certified = _certified_rows(solve, f, op, lam, w)
         xi = eta - (f.gradient(y) - gx) / lam
         ok = (certified & _verify(f, op, lam, eta, gx, y, xi).passed
               & (spec.phi(eta, xi, x, y) < spec.psi(eta, xi, x, y)))
@@ -437,9 +422,7 @@ def radius_search(f, op, lam, x, spec: StronglyImplicitSpec, probes=64, halving_
             return True
         j = int(np.argmin(ok))  # the first failing row
         if not certified[j]:
-            if j in errors:
-                raise errors[j]
-            _certify(f, op, lam, w[j], y[j])  # raises this row's certificate error
+            _protoresolvent(f, op, lam, w[j])  # raises this row's error
         return False
 
     r = 1.0 + float(np.linalg.norm(x))

@@ -112,12 +112,164 @@ def radius_search_scalar(f, op, lam, x, spec, probes=64, halving_depth=40,
     return lo
 
 
+#  coordinate view of the separable catalog, from each kind's data alone
+
+def coord_box(op, i, t):
+    """(lo, hi) of coordinate i of A at the scalar t (separable operators only)."""
+    from proxlab.errors import EmptyOperatorValue
+    from proxlab.operators import Affine, GradientOfConvex, NormalConeBox, OperatorSum, Scaled, SubdiffAbs
+
+    if isinstance(op, SubdiffAbs):
+        s, w = op.shift[i], op.weight
+        return (-w, -w) if t < s else (w, w) if t > s else (-w, w)
+    if isinstance(op, Affine):
+        v = op.matrix[i, i] * t + op.offset[i]
+        return (v, v)
+    if isinstance(op, NormalConeBox):
+        lo, hi = op.lower[i], op.upper[i]
+        if t < lo or t > hi:
+            raise EmptyOperatorValue(f"coordinate {i} = {t} outside [{lo}, {hi}]")
+        return (-np.inf if t == lo else 0.0, np.inf if t == hi else 0.0)
+    if isinstance(op, GradientOfConvex):  # logcosh, quartic, or norm4 in 1-D
+        d = t - op.shift[i]
+        v = op.weight * (np.tanh(d) if op.profile == "logcosh" else d ** 3)
+        return (v, v)
+    if isinstance(op, Scaled):
+        lo, hi = coord_box(op.inner, i, t)
+        return (op.lam * lo, op.lam * hi)
+    if isinstance(op, OperatorSum):
+        lo = hi = 0.0
+        for term in op.terms:
+            tlo, thi = coord_box(term, i, t)
+            lo, hi = lo + tlo, hi + thi
+        return (lo, hi)
+    raise TypeError(f"no coordinate view for {op!r}")
+
+
+def coord_kinks(op, i):
+    """Points where coordinate i of A is set-valued."""
+    from proxlab.operators import NormalConeBox, OperatorSum, Scaled, SubdiffAbs
+
+    if isinstance(op, SubdiffAbs):
+        return (op.shift[i],)
+    if isinstance(op, NormalConeBox):
+        return (op.lower[i], op.upper[i])
+    if isinstance(op, Scaled):
+        return coord_kinks(op.inner, i)
+    if isinstance(op, OperatorSum):
+        return tuple(sorted({k for term in op.terms for k in coord_kinks(term, i)}))
+    return ()
+
+
+def coord_domain(op, i):
+    """Closed bounds of coordinate i where A is nonempty."""
+    from proxlab.operators import NormalConeBox, OperatorSum, Scaled
+
+    if isinstance(op, NormalConeBox):
+        return (op.lower[i], op.upper[i])
+    if isinstance(op, Scaled):
+        return coord_domain(op.inner, i)
+    if isinstance(op, OperatorSum):
+        bounds = [coord_domain(term, i) for term in op.terms]
+        return (max(b[0] for b in bounds), min(b[1] for b in bounds))
+    return (-np.inf, np.inf)
+
+
+def coord_grad(f, i, t):
+    """Coordinate i of grad f at the scalar t (separable f only)."""
+    from proxlab.legendre import CoshSum, QuadraticForm
+
+    if isinstance(f, QuadraticForm):
+        return f.metric.matrix[i, i] * t
+    if isinstance(f, CoshSum):
+        return np.sinh(t)
+    return np.sign(t) * abs(t) ** (f.rho - 1.0)  # a power kind in 1-D
+
+
 def coord_value_box(op, y):
     """(lo, hi) of A(y) assembled one coordinate at a time from coord_box."""
     lo, hi = np.empty(op.dim), np.empty(op.dim)
     for i in range(op.dim):
-        lo[i], hi[i] = op.coord_box(i, y[i])
+        lo[i], hi[i] = coord_box(op, i, y[i])
     return lo, hi
+
+
+def _coord_residual(f, op, i, lam, w, t):
+    """Residual of the scalar inclusion at t, with the best selection from A."""
+    g = coord_grad(f, i, t)
+    lo, hi = coord_box(op, i, t)
+    a = min(max((w - g) / lam, lo), hi)
+    return g + lam * a - w
+
+
+def solve_coord(f, op, i, lam, w):
+    """Coordinate i of the separable protoresolvent at the scalar w: kink
+    candidates tested exactly, then a bracket and bisection to a relative
+    width of 4 eps, then the best of the final bracket and the kinks in it."""
+    dlo, dhi = coord_domain(op, i)
+    candidates = set(coord_kinks(op, i))
+    for e in (dlo, dhi):
+        if np.isfinite(e):
+            candidates.add(e)
+    best, best_res = None, np.inf
+    for k in sorted(candidates):
+        if k < dlo or k > dhi:
+            continue
+        r = abs(_coord_residual(f, op, i, lam, w, k))
+        if r < best_res:
+            best, best_res = k, r
+    if best is not None and best_res <= 1e-12 * (1.0 + abs(w)):
+        return best
+
+    # bracket [a, b] with the solution strictly inside: the lo selection at the
+    # left end and the hi selection at the right end give valid signs
+    def g_lo(t):
+        return coord_grad(f, i, t) + lam * coord_box(op, i, t)[0] - w
+
+    def g_hi(t):
+        return coord_grad(f, i, t) + lam * coord_box(op, i, t)[1] - w
+
+    center = 0.0
+    if np.isfinite(dlo) and np.isfinite(dhi):
+        center = 0.5 * (dlo + dhi)
+    elif np.isfinite(dlo):
+        center = dlo + 1.0
+    elif np.isfinite(dhi):
+        center = dhi - 1.0
+    radius = 1.0
+    a, b = max(center - radius, dlo), min(center + radius, dhi)
+    for _ in range(200):
+        if (a == dlo or g_lo(a) <= 0.0) and (b == dhi or g_hi(b) >= 0.0):
+            break
+        radius *= 2.0
+        a, b = max(center - radius, dlo), min(center + radius, dhi)
+    else:
+        raise ArithmeticError("bracket expansion failed for the scalar inclusion")
+
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        if m <= a or m >= b:
+            break
+        lo, hi = coord_box(op, i, m)
+        g = coord_grad(f, i, m)
+        if g + lam * hi < w:
+            a = m
+        elif g + lam * lo > w:
+            b = m
+        else:
+            return m
+        if b - a <= 4.0 * np.finfo(float).eps * max(1.0, abs(a), abs(b)):
+            break
+
+    finals = {a, b, 0.5 * (a + b)}
+    pad = 8.0 * (b - a) + 1e-30
+    finals.update(k for k in candidates if a - pad <= k <= b + pad and dlo <= k <= dhi)
+    return min(finals, key=lambda t: abs(_coord_residual(f, op, i, lam, w, t)))
+
+
+def solve_separable_scalar(f, op, lam, w):
+    """The separable protoresolvent one coordinate at a time."""
+    return np.array([solve_coord(f, op, i, lam, w[i]) for i in range(f.dim)])
 
 
 def enlargement_residual_scalar(op, eps, y, xi, witness_budget=256, halfwidth=1.0):
@@ -126,12 +278,12 @@ def enlargement_residual_scalar(op, eps, y, xi, witness_budget=256, halfwidth=1.
     from proxlab.numerics import halton_points, pairing
     from proxlab.operators import ValueBox
 
-    lo, hi = (np.broadcast_to(bound, op.dim) for bound in op.domain)
     worst = 0.0
     for row in halton_points(witness_budget, op.dim):
         xp = y + halfwidth * (2.0 * row - 1.0)
         for i in range(op.dim):
-            xp[i] = min(max(xp[i], lo[i]), hi[i])
+            lo, hi = coord_domain(op, i)
+            xp[i] = min(max(xp[i], lo), hi)
         direction = xp - y
         sel = ValueBox(*coord_value_box(op, xp)).support_argmin(direction)
         if not np.all(np.isfinite(sel)):

@@ -133,6 +133,31 @@ def test_power_gradient_at_origin():
     assert_allclose(PowerP(1.5, 2.0, 2).gradient([0.0, 0.0]), [0.0, 0.0])
 
 
+def test_power_kinds_overflow_only_with_their_result():
+    # the unscaled norm overflowed first: the powerp gradient read 0 at 1e90
+    # and NaN at 1e150, its inverse NaN at 1e300, and the rho = 1.5 power
+    # gradient 0 at 1e200
+    f = PowerP(3.44, 2.6, 1)
+    assert_allclose(f.gradient(np.array([1e90])), [1e144], rtol=1e-12)
+    assert_allclose(f.gradient(np.array([[1e90], [-1e150]])), [[1e144], [-1e240]], rtol=1e-12)
+    g = PowerP(1.5, 4.0, 1)
+    assert_allclose(g.grad_inverse(np.array([1e300])), [1e100], rtol=1e-12)
+    assert_allclose(g.grad_inverse(np.array([[-1e300], [0.0]])), [[-1e100], [0.0]], rtol=1e-12)
+    assert_allclose(PowerEuclidean(1.5, 1).gradient(np.array([1e200])), [1e100], rtol=1e-12)
+    assert_allclose(PowerEuclidean(1.5, 2).gradient(np.array([3e-200, 4e-200])),
+                    np.sqrt(5e-200) * np.array([0.6, 0.8]), rtol=1e-12)
+
+
+@pytest.mark.parametrize("f", [PowerEuclidean(1.5, 1), PowerEuclidean(4.0, 8), PowerP(1.5, 3.0, 1),
+                               PowerP(4.0, 1.5, 3), PowerP(2.7, 3.0, 64)])
+def test_power_rows_match_single_vectors(f):
+    rng = np.random.default_rng(f.dim)
+    rows = rng.uniform(-3.0, 3.0, size=(40, f.dim)) * 10.0 ** rng.integers(-100, 100, size=(40, 1))
+    for method in (f.gradient, f.grad_inverse):
+        many = method(rows)
+        assert all(np.array_equal(method(row), one) for row, one in zip(rows, many))
+
+
 class _FlatTail:
     """sqrt(1 + x^2): convex and smooth but not super-coercive."""
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import coord_value_box, enlargement_residual_scalar
+from oracles import coord_box, coord_kinks, coord_value_box, enlargement_residual_scalar
 from proxlab.errors import DimensionMismatch, EmptyOperatorValue
 from proxlab.legendre import euclidean
 from proxlab.numerics import random_spd_matrix
@@ -121,13 +121,19 @@ def test_affine_validation():
 def test_sum_and_scale_structure():
     inner = SubdiffAbs(1.0, np.array([0.5]))
     s = Scaled(2.0, inner)
-    assert s.coord_kinks(0) == (0.5,)
-    lo, hi = s.coord_box(0, 0.5)
-    assert (lo, hi) == (-2.0, 2.0)
+    assert coord_kinks(s, 0) == (0.5,)
+    assert coord_box(s, 0, 0.5) == (-2.0, 2.0)
+    assert np.array_equal(np.stack(coord_value_box(s, [0.5])), [[-2.0], [2.0]])
+    weight, shift = s.as_subdiff_abs()
+    assert weight == 2.0 and np.array_equal(shift, [0.5])
     total = OperatorSum([inner, identity_op(1)])
-    lo, hi = total.coord_box(0, 0.5)
-    assert (lo, hi) == (-0.5, 1.5)
-    assert total.coord_kinks(0) == (0.5,)
+    assert coord_box(total, 0, 0.5) == (-0.5, 1.5)
+    box = total.value_box(np.array([0.5]))
+    assert (box.lo[0], box.hi[0]) == (-0.5, 1.5)
+    assert coord_kinks(total, 0) == (0.5,)
+    assert total.as_subdiff_abs() is None and total.as_box() is None
+    cone = NormalConeBox(-1.0, 2.0, 1)
+    assert [b.tolist() for b in Scaled(3.0, cone).as_box()] == [[-1.0], [2.0]]
     with pytest.raises(DimensionMismatch):
         OperatorSum([identity_op(1), identity_op(2)])
 

@@ -81,15 +81,17 @@ CONFIGS = {
 # (exit code, SHA-256 of the CSV body), recorded before the input checks
 # moved to the public entry points; rs_cosh_2d_zero re-pinned when the
 # cyclic-bisection dual projection gave way to the active-set Newton kernel
-# (same 27 iterations, iterates within 4e-11)
+# (same 27 iterations, iterates within 4e-11); both cosh configs re-pinned when
+# the scalar bisection gave way to the cosh + abs closed form and the
+# multisection (same iteration counts, values within 1.2e-15 absolute)
 EXPECTED = {
-    "eckstein_cosh_constant_norm_geometric": (0, "dbe6b397660d8e22c3ce8a3d2f7fb2da0d4ad25a71a8a87dbba9724ecf98fb96"),
+    "eckstein_cosh_constant_norm_geometric": (0, "286cbd4f7cf8b9c7c5399e5ba6ec2bda50630d45f3b09d9bafc0ea02d8b58ef7"),
     "eckstein_summable_criterion10": (0, "7ee494766d15f0a34b4832319d96ffce2049f0f583a8e3045d2df498a71c8b9d"),
     "ips_nu_from_radius_fraction_1d": (0, "14880fa4086bb5d2a0ef4f3fe9371d2aeb58a4096ee57dfcd595e39ae9c9de2a"),
     "ips_z_basis_summable_3d": (0, "846c05aba67ce17aa84cb6fd568a16f186e7422409538c40171e52ead451aa69"),
     "pls_radius_fraction_1d": (0, "d501fd5f87d6925f303e057bfaacd4627d11388f28d6a21c17881792e653236e"),
     "pls_random_spd_summable_2d": (0, "ac751ca2ab03c89c81746c09c4da06b27e6867bc586d6bae85e2a59b596371fc"),
-    "rs_cosh_2d_zero": (0, "d713d7c66f9b20ec39b35a8abd90f605c7cc21aaf7c41ad4ebefe4e620ac0733"),
+    "rs_cosh_2d_zero": (0, "dd4feaf29ad067ad40612d36c3b6eab2118adda6d6888c0586a17f80c1ae2b22"),
     "rs_euclidean_common_zero_summable": (4, "c2903ca4d8969eddafe4cac362634254e8d3e1ca43f1b1338b70cc0a70bc4584"),
     "ss_constant_norm_2d": (0, "f783d42f6f9a0ee75b7d53c8789e9a3dae8ec4c88592bfd23452b31a1d1ab2ef"),
     "ss_radius_fraction_1d": (0, "d2514ad6bfdf2c23a755ee90049ffcbb534d53bf494a41405afeed5d0fef98be"),

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import grid_argmin_1d
+from oracles import grid_argmin_1d, solve_separable_scalar
+from proxlab import resolvent
 from proxlab.errors import EmptyOperatorValue, NoStrategy, StrongImplicitnessFailure
 from proxlab.legendre import CoshSum, PowerEuclidean, PowerP, QuadraticForm, euclidean
 from proxlab.numerics import SpdMetric
@@ -47,6 +48,56 @@ def test_no_strategy_error():
     with pytest.raises(NoStrategy):
         protoresolvent(PowerEuclidean(4.0, 3), SubdiffAbs(1.0, np.zeros(3)), 1.0,
                        [1.0, 2.0, 3.0])
+
+
+def _multisection_pairings(dim, rng):
+    """Seeded separable pairings over the catalog kinds the multisection meets."""
+    def shift():
+        return rng.uniform(-1.0, 1.0, size=dim)
+
+    def diag():
+        return np.diag(rng.uniform(0.0, 2.0, size=dim))
+
+    def box():
+        return NormalConeBox(-1.0 - rng.uniform(0.0, 1.0, size=dim), 1.0 + rng.uniform(0.0, 1.0, size=dim))
+
+    fs = [CoshSum(dim), QuadraticForm(SpdMetric.diagonal(rng.uniform(0.5, 2.0, size=dim)))]
+    if dim == 1:
+        fs += [PowerEuclidean(1.5, 1), PowerEuclidean(3.0, 1), PowerP(1.5, 4.0, 1)]
+    ops = [Affine(diag(), shift()), GradientOfConvex("logcosh", shift(), weight=1.5),
+           GradientOfConvex("quartic", shift()),
+           OperatorSum([SubdiffAbs(0.7, shift()), Affine(diag(), shift())]),
+           OperatorSum([box(), SubdiffAbs(0.5, shift())]), Scaled(2.0, OperatorSum([box()]))]
+    return [(f, op) for f in fs for op in ops]
+
+
+@pytest.mark.parametrize("dim", [1, 8, 64])
+def test_multisection_matches_scalar_bisection(dim):
+    rng = np.random.default_rng([11, dim])
+    eps = np.finfo(float).eps
+    for f, op in _multisection_pairings(dim, rng):
+        lam = float(rng.uniform(0.3, 2.0))
+        w = rng.uniform(-4.0, 4.0, size=(3, dim))
+        y = resolvent._solve_separable(f, op, lam, w)
+        for row, y_row in zip(w, y):
+            ref = solve_separable_scalar(f, op, lam, row)
+            # the bisection stops at a relative width of 4 eps
+            assert np.all(np.abs(y_row - ref) <= 8.0 * eps * np.maximum(1.0, np.abs(ref))), (f, op)
+            assert np.array_equal(resolvent._solve_separable(f, op, lam, row), y_row)
+
+
+@pytest.mark.parametrize("t", [1e-6, 1e-9])
+@pytest.mark.parametrize("route", [lambda op: op, lambda op: OperatorSum([op])],
+                         ids=["closed_form", "multisection"])
+def test_small_separable_solutions_are_exact_relative(t, route):
+    # an absolute stopping width used to leave errors of 4.8e-8 t (box) and
+    # 8.3e-8 relative (cosh + abs) at t = 1e-9
+    w = t * np.array([0.3, -0.7, 1.9])
+    y = protoresolvent(euclidean(3), route(NormalConeBox(-t, t, 3)), 1.0, w)
+    assert_allclose(y, np.clip(w, -t, t), rtol=1e-15, atol=0.0)
+    y = protoresolvent(CoshSum(3), route(SubdiffAbs(0.5 * t, np.zeros(3))), 1.0, w)
+    assert_allclose(y, np.arcsinh(np.sign(w) * np.maximum(np.abs(w) - 0.5 * t, 0.0)),
+                    rtol=1e-15, atol=0.0)
 
 
 def test_coupled_quartic_collapses_to_scalar_in_1d():
