@@ -23,8 +23,8 @@ from .errors import (ConfigError, DimensionMismatch, InfeasibleProjection, Solve
 from .legendre import LegendreFn, QuadraticForm, euclidean
 from .numerics import SpdMetric, as_vector, pairing, random_spd_matrix, require_finite
 from .operators import MonotoneOp
-from .resolvent import (_check_pairing, _protoresolvent, _solve, ips_form, pls_form,
-                        protoresolvent, radius_search, ss_form)
+from .resolvent import (_check_pairing, _protoresolvent, _solve, _zero_residual, ips_form,
+                        pls_form, protoresolvent, radius_search, ss_form)
 
 SCHEMES = ("eckstein", "ss", "ips", "pls", "rs")
 
@@ -240,8 +240,7 @@ def ss_step(op: MonotoneOp, mu: float, sigma: float, x, eta,
 def _ss_step(op, mu, sigma, x, eta, zero_detect):
     y = _protoresolvent(euclidean(op.dim), op, 1.0 / mu, x - eta / mu)
     xi = -eta - mu * (y - x)
-
-    if np.linalg.norm(eta) > sigma * max(float(np.linalg.norm(xi)), mu * float(np.linalg.norm(y - x))):
+    if ss_form(sigma, mu).gap(eta, xi, x, y) > 0.0:
         return StepResult(status="reject", y=y, xi=xi)
 
     xi_norm = float(np.linalg.norm(xi))
@@ -285,9 +284,9 @@ def ips_step(op: MonotoneOp, lam: float, nu: float, x, eta) -> StepResult:
 
 def _ips_step(op, lam, nu, x, eta):
     y = _protoresolvent(euclidean(op.dim), op, lam, x + eta)
-    if np.linalg.norm(eta) > nu * float(np.linalg.norm(y - x)):
-        return StepResult(status="reject", y=y)
     xi = (eta - (y - x)) / lam
+    if ips_form(nu, lam).gap(eta / lam, xi, x, y) > 0.0:  # the form scores the inclusion's error
+        return StepResult(status="reject", y=y)
     return StepResult(status="accepted", y=y, xi=xi, x_next=y - eta)
 
 
@@ -302,19 +301,19 @@ def pls_step(op: MonotoneOp, c: float, metric: SpdMetric, sigma: float, tau: flo
         raise DimensionMismatch(f"metric dim {metric.dim} != operator dim {op.dim}")
     if not 0.0 < zero_detect < np.inf:
         raise ValueError("zero_detect must be positive and finite")
-    return _pls_step(op, c, metric, sigma, tau, as_vector(x, op.dim), as_vector(eta, op.dim),
-                     zero_detect)
+    return _pls_step(op, c, metric, _pls_geometry(metric), sigma, tau, as_vector(x, op.dim),
+                     as_vector(eta, op.dim), zero_detect)
 
 
-def _pls_step(op, c, metric, sigma, tau, x, eta, zero_detect):
-    f = QuadraticForm(SpdMetric(np.linalg.inv(metric.matrix)))
+def _pls_geometry(metric):
+    """f(x) = <M^{-1} x, x> / 2, the Legendre function of a pls step in metric M."""
+    return QuadraticForm(SpdMetric(np.linalg.inv(metric.matrix)))
+
+
+def _pls_step(op, c, metric, f, sigma, tau, x, eta, zero_detect):
     y = _protoresolvent(f, op, c, metric.solve(x + eta))
     xi = metric.solve(eta - (y - x)) / c
-
-    # c M xi + (y - x) telescopes back to eta, so the error side is exact
-    lhs = metric.inv_norm(eta) ** 2
-    rhs = sigma ** 2 * (metric.inv_norm(c * metric.apply(xi)) ** 2 + metric.inv_norm(y - x) ** 2)
-    if lhs > rhs:
+    if pls_form(sigma, c, metric).gap(eta, xi, x, y) > 0.0:
         return StepResult(status="reject", y=y, xi=xi)
 
     if float(np.linalg.norm(y - x)) <= zero_detect:
@@ -448,7 +447,6 @@ class RsIterate:
     ys: list
     xis: list
     etas: list
-    lams: list
     c_halfspaces: list   # per-operator (a, b) or None for the whole space
     q_halfspace: object  # (a, b) or None
     x_next: np.ndarray
@@ -503,7 +501,7 @@ def _rs_step(f, ops, lams, etas, x0, x, common_zero):
     q_cut = None if degenerate else (aq, pairing(aq, x))
 
     it = RsIterate(ws=ws, ys=ys, xis=xis, etas=[np.array(e) for e in etas],
-                   lams=list(lams), c_halfspaces=cuts, q_halfspace=q_cut, x_next=x)
+                   c_halfspaces=cuts, q_halfspace=q_cut, x_next=x)
 
     if common_zero is not None:
         for a, b in it.halfspaces():
@@ -581,8 +579,7 @@ class RunSpec:
 def _stop_residual(ops, x):
     """max over ops of zero_residual(op, f, 1, x) with f = ||.||^2 / 2, on trusted x."""
     f = euclidean(x.shape[0])
-    return max(float(np.linalg.norm(x - _protoresolvent(f, op, 1.0, f.gradient(x))))
-               for op in ops)
+    return max(_zero_residual(f, op, 1.0, x) for op in ops)
 
 
 def _subspace_projector(z_basis):
@@ -638,15 +635,16 @@ def _ips(spec, stop, n, x):
 
 def _pls(spec, stop, n, x):
     c, metric = spec.c.at(n), spec.metric.at(n, spec.dim)
+    f_n = _pls_geometry(metric)
 
     def radius_args():
-        f_n = QuadraticForm(SpdMetric(np.linalg.inv(metric.matrix)))
         # the scheme-side error is cM times the generic one
         scale = c * float(np.min(np.linalg.eigvalsh(metric.matrix)))
         return f_n, c, pls_form(spec.sigma, c, metric), scale
 
     def step(etas):
-        result = _pls_step(spec.op, c, metric, spec.sigma, spec.tau, x, etas[0], stop.zero_detect)
+        result = _pls_step(spec.op, c, metric, f_n, spec.sigma, spec.tau, x, etas[0],
+                           stop.zero_detect)
         result.extra["metric"] = metric
         return result
     return c, radius_args, step

@@ -1,4 +1,6 @@
-"""Executable invariant suites behind the `check` subcommand.
+"""Executable invariant suites behind the `check` subcommand, and the one
+measure of each invariant, which returns residuals that the suites and the
+tests bound.  A measure the library needs itself stays next to it.
 
 Suites are grouped as legendre (conjugacy and numerics), resolvent (inclusion
 round trips, operator oracles, continuity), and algorithms (scheme-condition
@@ -14,13 +16,13 @@ import numpy as np
 
 from . import algorithms as alg
 from .legendre import (CoshSum, PowerEuclidean, PowerP, QuadraticForm,
-                       bregman_distance, euclidean)
+                       bregman_distance, euclidean, grad_inverse_residual)
 from .numerics import SpdMetric, pairing, random_spd_matrix
 from .operators import (Affine, GradientOfConvex, NormalConeBox, OperatorSum, Scaled,
                         SubdiffAbs, enlargement_residual, identity_op, zero_residual)
 from .reference import brute_force_protoresolvent
-from .resolvent import (InclusionInstance, holder_certify, protoresolvent, solve_inclusion,
-                        verify_solution)
+from .resolvent import (InclusionInstance, holder_certify, ips_form, pls_form, protoresolvent,
+                        solve_inclusion, ss_form, verify_solution)
 
 SUITES = ("legendre", "resolvent", "algorithms")
 
@@ -119,6 +121,118 @@ def random_instance(rng) -> InclusionInstance:
     return InclusionInstance(f=f, op=op, lam=lam, x=x, eta=eta)
 
 
+#  invariant measures
+
+def fenchel_young_gap(f, x):
+    """|f(x) + f*(grad f(x)) - <grad f(x), x>| relative to 1 + |f(x)| (Fenchel-Young)."""
+    g, fx = f.gradient(x), f.value(x)
+    return abs(fx + f.conjugate_value(g) - pairing(g, x)) / (1.0 + abs(fx))
+
+
+def conjugate_gap(f, u):
+    """|f*(u) through the gradient inverse - the closed-form f*(u)|."""
+    return abs(f.conjugate_value(u) - f.closed_form_conjugate(u))
+
+
+def finite_difference_gap(f, x):
+    """||grad f(x) - central differences with step 1e-5 (1 + ||x||)|| relative to 1 + ||grad f(x)||."""
+    h = 1e-5 * (1.0 + np.linalg.norm(x))
+    g = f.gradient(x)
+    fd = np.array([(f.value(x + e) - f.value(x - e)) / (2.0 * h) for e in h * np.eye(f.dim)])
+    return float(np.linalg.norm(fd - g) / (1.0 + np.linalg.norm(g)))
+
+
+def monotonicity_gap(op, count, rng):
+    """min <xi_i - xi_j, y_i - y_j> over `count` sampled graph points: >= 0 if A is monotone."""
+    ys, xis = (np.array(v) for v in zip(*op.sample_graph(count, rng)))
+    s = np.einsum("ij,ij->i", xis, ys)
+    cross = xis @ ys.T
+    return float(np.min(s[:, None] + s[None, :] - cross - cross.T))
+
+
+def scaling_law_sides(op, lam, y, xi):
+    """dist(xi, (lam A)(y)) and lam dist(xi / lam, A(y)), equal by the scaling law."""
+    return Scaled(lam, op).membership_residual(y, xi), lam * op.membership_residual(y, xi / lam)
+
+
+def reference_gap(inst, y):
+    """Distance of y to the brute-force protoresolvent at the instance's shifted point."""
+    w = inst.lam * inst.eta + inst.f.gradient(inst.x)
+    return float(np.linalg.norm(brute_force_protoresolvent(inst.f, inst.op, inst.lam, w) - y))
+
+
+def exact_case_gap(f, op, lam, x):
+    """Distance of the inclusion's y at eta = 0 to its equal, the protoresolvent of grad f(x)."""
+    exact = solve_inclusion(InclusionInstance(f=f, op=op, lam=lam, x=x, eta=np.zeros(f.dim)))
+    return float(np.linalg.norm(exact.y - protoresolvent(f, op, lam, f.gradient(x))))
+
+
+def perturbation_moves(inst, rng, deltas, draws):
+    """Per delta, the largest ||y' - y|| + ||xi' - xi|| over `draws` moves of x and eta
+    by norm delta: it shrinks with delta, as the solution depends continuously on them."""
+    base = solve_inclusion(inst)
+    moves = []
+    for d in deltas:
+        worst = 0.0
+        for _ in range(draws):
+            dx, de = (v * (d / np.linalg.norm(v)) for v in rng.standard_normal((2, inst.f.dim)))
+            pert = solve_inclusion(InclusionInstance(
+                f=inst.f, op=inst.op, lam=inst.lam, x=inst.x + dx, eta=inst.eta + de))
+            worst = max(worst, float(np.linalg.norm(pert.y - base.y)
+                                     + np.linalg.norm(pert.xi - base.xi)))
+        moves.append(worst)
+    return moves
+
+
+def _per_step(trace, residuals):
+    """The three residuals(prev, rec) of each step of a trace, as three arrays."""
+    rows = [residuals(prev, rec) for prev, rec in zip(trace.records, trace.records[1:])]
+    return np.array(rows, dtype=float).reshape(-1, 3).T
+
+
+def ss_residuals(trace, op, sigma):
+    """Per step of an ss trace: dist(xi, A(y)), ||xi + mu (y - x) + eta|| and
+    Phi - Psi of the ss form, which the step keeps nonpositive."""
+    return _per_step(trace, lambda prev, rec: (
+        op.membership_residual(rec.y, rec.xi),
+        np.linalg.norm(rec.xi + rec.step_param * (rec.y - prev.x) + rec.eta),
+        ss_form(sigma, rec.step_param).gap(rec.eta, rec.xi, prev.x, rec.y)))
+
+
+def ips_residuals(trace, op, nu):
+    """Per step of an ips trace: dist(xi, A(y)) for xi = (eta - (y - x)) / lam,
+    ||x_next - (y - eta)|| and Phi - Psi of the ips form."""
+    def step(prev, rec):
+        lam = rec.step_param
+        xi = (rec.eta - (rec.y - prev.x)) / lam
+        return (op.membership_residual(rec.y, xi), np.linalg.norm(rec.x - (rec.y - rec.eta)),
+                ips_form(nu, lam).gap(rec.eta / lam, xi, prev.x, rec.y))
+    return _per_step(trace, step)
+
+
+def pls_residuals(trace, op, sigma):
+    """Per step of a pls trace: dist(xi, A(y)), ||eta - (c M xi + y - x)|| and
+    Phi - Psi of the pls form in the step's metric M."""
+    def step(prev, rec):
+        c, metric = rec.step_param, rec.extra["metric"]
+        return (op.membership_residual(rec.y, rec.xi),
+                np.linalg.norm(rec.eta - (c * metric.apply(rec.xi) + rec.y - prev.x)),
+                pls_form(sigma, c, metric).gap(rec.eta, rec.xi, prev.x, rec.y))
+    return _per_step(trace, step)
+
+
+def fejer_steps(trace, z):
+    """||x_n - z|| - ||x_{n-1} - z|| per step: <= 0 while no step moves away from the zero z."""
+    return np.diff([np.linalg.norm(rec.x - z) for rec in trace.records])
+
+
+def cut_margins(trace):
+    """Per rs step, the largest signed distance of the common zero past one of
+    the step's cuts (-inf without cuts): nonpositive while every cut keeps it."""
+    return np.array([np.max(rec.extra["rs"].zero_margins, initial=-np.inf)
+                     for rec in trace.records[1:]])
+
+
 #  legendre suite (includes the shared numerics invariants)
 
 def _check_numerics(rng):
@@ -151,24 +265,15 @@ def legendre_suite(seed=1):
     for f in legendre_catalog():
         for _ in range(1000):
             x = rng.uniform(-3.0, 3.0, size=f.dim)
-            g = f.gradient(x)
-            fy = abs(f.value(x) + f.conjugate_value(g) - pairing(g, x))
-            if fy > 1e-8 * (1.0 + abs(f.value(x))):
-                fenchel_bad += 1
-            back = f.grad_inverse(g)
-            if np.linalg.norm(back - x) > 1e-8 * (1.0 + np.linalg.norm(x)):
-                roundtrip_bad += 1
+            fenchel_bad += fenchel_young_gap(f, x) > 1e-8
+            roundtrip_bad += grad_inverse_residual(f, x) > 1e-8
     results.append(CheckResult("legendre.fenchel_young", fenchel_bad == 0,
                                f"{fenchel_bad} failures over catalog x 1000"))
     results.append(CheckResult("legendre.grad_inverse_roundtrip", roundtrip_bad == 0,
                                f"{roundtrip_bad} failures over catalog x 1000"))
 
-    cosh1 = CoshSum(1)
-    grid_bad = 0
-    for u in np.arange(-5.0, 5.0 + 1e-9, 0.1):
-        uu = np.array([u])
-        if abs(cosh1.conjugate_value(uu) - cosh1.closed_form_conjugate(uu)) > 1e-10:
-            grid_bad += 1
+    grid_bad = sum(conjugate_gap(CoshSum(1), np.array([u])) > 1e-10
+                   for u in np.arange(-5.0, 5.0 + 1e-9, 0.1))
     results.append(CheckResult("legendre.conjugate_vs_closed_form", grid_bad == 0,
                                f"{grid_bad} grid failures on [-5, 5]"))
 
@@ -189,17 +294,8 @@ def legendre_suite(seed=1):
     for f in legendre_catalog():
         for _ in range(200):
             x = rng.uniform(-3.0, 3.0, size=f.dim)
-            if np.linalg.norm(x) < 0.3:
-                continue  # nonsmooth-looking origins are excluded from the stencil
-            h = 1e-5 * (1.0 + np.linalg.norm(x))
-            g = f.gradient(x)
-            fd = np.empty(f.dim)
-            for i in range(f.dim):
-                e = np.zeros(f.dim)
-                e[i] = h
-                fd[i] = (f.value(x + e) - f.value(x - e)) / (2.0 * h)
-            if np.linalg.norm(fd - g) > 1e-6 * (1.0 + np.linalg.norm(g)):
-                fd_bad += 1
+            if np.linalg.norm(x) >= 0.3:  # nonsmooth-looking origins are excluded from the stencil
+                fd_bad += finite_difference_gap(f, x) > 1e-6
     results.append(CheckResult("legendre.gradient_vs_finite_differences", fd_bad == 0,
                                f"{fd_bad} failures over catalog x 200"))
     return results
@@ -209,17 +305,8 @@ def legendre_suite(seed=1):
 
 def _check_operators(rng):
     results = []
-    mono_bad = 0
-    for dim in (1, 3):
-        for op in operator_catalog(dim):
-            pts = op.sample_graph(150, rng)
-            ys = np.array([p[0] for p in pts])
-            xis = np.array([p[1] for p in pts])
-            s = np.einsum("ij,ij->i", xis, ys)
-            cross = xis @ ys.T
-            gram = s[:, None] + s[None, :] - cross - cross.T
-            if gram.min() < -1e-10:
-                mono_bad += 1
+    mono_bad = sum(monotonicity_gap(op, 150, rng) < -1e-10
+                   for dim in (1, 3) for op in operator_catalog(dim))
     results.append(CheckResult("operators.monotonicity_audit", mono_bad == 0,
                                f"{mono_bad} operators failed the pairwise audit"))
 
@@ -228,13 +315,9 @@ def _check_operators(rng):
         dim = int(rng.integers(1, 4))
         base = _separable_ops(rng, dim)
         lam = float(rng.uniform(0.2, 3.0))
-        scaled = Scaled(lam, base)
         y = base._clamp_to_domain(rng.uniform(-2.0, 2.0, size=dim))
-        xi = rng.uniform(-2.0, 2.0, size=dim)
-        lhs = scaled.membership_residual(y, xi)
-        rhs = lam * base.membership_residual(y, xi / lam)
-        if abs(lhs - rhs) > 1e-12 * (1.0 + abs(rhs)):
-            scale_bad += 1
+        lhs, rhs = scaling_law_sides(base, lam, y, rng.uniform(-2.0, 2.0, size=dim))
+        scale_bad += abs(lhs - rhs) > 1e-12 * (1.0 + abs(rhs))
     results.append(CheckResult("operators.scaling_law", scale_bad == 0,
                                f"{scale_bad} failures over 300 samples"))
 
@@ -274,21 +357,12 @@ def resolvent_suite(seed=1, instances=10_000):
     for k in range(instances):
         inst = random_instance(rng)
         sol = solve_inclusion(inst)
-        rep = verify_solution(inst, sol.y, sol.xi)
-        if not rep.passed:
-            round_bad += 1
+        round_bad += not verify_solution(inst, sol.y, sol.xi).passed
         if inst.f.dim == 1 and k % 5 == 0:
-            w = inst.lam * inst.eta + inst.f.gradient(inst.x)
-            ref = brute_force_protoresolvent(inst.f, inst.op, inst.lam, w)
             checked_1d += 1
-            if np.linalg.norm(ref - sol.y) > 1e-6:
-                strategy_bad += 1
+            strategy_bad += reference_gap(inst, sol.y) > 1e-6
         if k % 10 == 0:
-            exact = solve_inclusion(InclusionInstance(
-                f=inst.f, op=inst.op, lam=inst.lam, x=inst.x, eta=np.zeros(inst.f.dim)))
-            direct = protoresolvent(inst.f, inst.op, inst.lam, inst.f.gradient(inst.x))
-            if np.linalg.norm(exact.y - direct) > 1e-10:
-                exact_bad += 1
+            exact_bad += exact_case_gap(inst.f, inst.op, inst.lam, inst.x) > 1e-10
     results.append(CheckResult("resolvent.prop42_roundtrip", round_bad == 0,
                                f"{round_bad} failures over {instances} instances"))
     results.append(CheckResult("resolvent.two_strategy_agreement_1d", strategy_bad == 0,
@@ -298,24 +372,8 @@ def resolvent_suite(seed=1, instances=10_000):
 
     cont_bad = 0
     for _ in range(20):
-        inst = random_instance(rng)
-        deltas = (1e-2, 1e-3, 1e-4)
-        moves = []
-        base = solve_inclusion(inst)
-        for d in deltas:
-            worst = 0.0
-            for _ in range(5):
-                dx = rng.standard_normal(inst.f.dim)
-                dx *= d / np.linalg.norm(dx)
-                de = rng.standard_normal(inst.f.dim)
-                de *= d / np.linalg.norm(de)
-                pert = solve_inclusion(InclusionInstance(
-                    f=inst.f, op=inst.op, lam=inst.lam, x=inst.x + dx, eta=inst.eta + de))
-                worst = max(worst, float(np.linalg.norm(pert.y - base.y)
-                                         + np.linalg.norm(pert.xi - base.xi)))
-            moves.append(worst)
-        if not (moves[0] >= moves[1] - 1e-12 and moves[1] >= moves[2] - 1e-12):
-            cont_bad += 1
+        moves = perturbation_moves(random_instance(rng), rng, (1e-2, 1e-3, 1e-4), 5)
+        cont_bad += not (moves[0] >= moves[1] - 1e-12 and moves[1] >= moves[2] - 1e-12)
     results.append(CheckResult("resolvent.continuous_dependence", cont_bad == 0,
                                f"{cont_bad} non-monotone moduli over 20 instances"))
 
@@ -331,21 +389,6 @@ def resolvent_suite(seed=1, instances=10_000):
 
 
 #  algorithms suite
-
-def _audit_ss_trace(trace, op, sigma):
-    """Re-check every accepted record against the scheme's three conditions."""
-    bad = 0
-    for prev, rec in zip(trace.records, trace.records[1:]):
-        mu = rec.step_param
-        if op.membership_residual(rec.y, rec.xi) > 1e-8:
-            bad += 1
-        if np.linalg.norm(rec.xi + mu * (rec.y - prev.x) + rec.eta) > 1e-10 * (1 + np.linalg.norm(rec.xi)):
-            bad += 1
-        if np.linalg.norm(rec.eta) > sigma * max(np.linalg.norm(rec.xi),
-                                                 mu * np.linalg.norm(rec.y - prev.x)) + 1e-12:
-            bad += 1
-    return bad
-
 
 def algorithms_suite(seed=1):
     rng = np.random.default_rng(seed)
@@ -372,17 +415,16 @@ def algorithms_suite(seed=1):
                        mu=alg.Schedule.constant(1.0), sigma=0.5)
     trace = alg.run(spec, alg.PerturbationPolicy.radius_fraction(0.5, seed=seed),
                     alg.StopRule(max_iters=200, zero_detect=1e-8))
-    audit_bad = _audit_ss_trace(trace, op_abs, 0.5)
+    # every accepted record against the scheme's three conditions
+    member, identity, gap = ss_residuals(trace, op_abs, 0.5)
+    xi_scale = 1.0 + np.array([np.linalg.norm(rec.xi) for rec in trace.records[1:]])
+    audit_bad = int(np.sum(member > 1e-8) + np.sum(identity > 1e-10 * xi_scale) + np.sum(gap > 1e-12))
     results.append(CheckResult("algorithms.ss_condition_audit", audit_bad == 0,
                                f"{audit_bad} violations in {trace.iterations} iterations"))
 
-    geom_bad = fejer_bad = 0
-    z_star = shift
-    for prev, rec in zip(trace.records, trace.records[1:]):
-        if abs(pairing(rec.xi, rec.x - rec.y)) > 1e-10 * (1.0 + np.linalg.norm(rec.xi)):
-            geom_bad += 1
-        if np.linalg.norm(rec.x - z_star) > np.linalg.norm(prev.x - z_star) + 1e-10:
-            fejer_bad += 1
+    geom_bad = sum(abs(pairing(rec.xi, rec.x - rec.y)) > 1e-10 * scale
+                   for rec, scale in zip(trace.records[1:], xi_scale))
+    fejer_bad = int(np.sum(fejer_steps(trace, shift) > 1e-10))
     results.append(CheckResult("algorithms.projection_geometry", geom_bad == 0,
                                f"{geom_bad} hyperplane violations"))
     results.append(CheckResult("algorithms.fejer_monotonicity", fejer_bad == 0,
@@ -414,15 +456,8 @@ def algorithms_suite(seed=1):
                          lam=alg.Schedule.constant(1.0))
     trace_i = alg.run(spec_i, alg.PerturbationPolicy.constant_norm(0.05, seed=seed),
                       alg.StopRule(max_iters=200, zero_detect=1e-8))
-    ips_bad = 0
-    for prev, rec in zip(trace_i.records, trace_i.records[1:]):
-        lam = rec.step_param
-        if op_abs.membership_residual(rec.y, (rec.eta - (rec.y - prev.x)) / lam) > 1e-8:
-            ips_bad += 1
-        if np.linalg.norm(rec.eta) > spec_i.nu * np.linalg.norm(rec.y - prev.x) + 1e-12:
-            ips_bad += 1
-        if np.linalg.norm(rec.x - (rec.y - rec.eta)) > 1e-12:
-            ips_bad += 1
+    member, update, gap = ips_residuals(trace_i, op_abs, spec_i.nu)
+    ips_bad = int(np.sum(member > 1e-8) + np.sum(gap > 1e-12) + np.sum(update > 1e-12))
     results.append(CheckResult("algorithms.ips_condition_audit", ips_bad == 0,
                                f"{ips_bad} violations in {trace_i.iterations} iterations"))
 
@@ -432,19 +467,8 @@ def algorithms_suite(seed=1):
                          metric=alg.MetricSchedule(kind="random_spd", seed=seed))
     trace_p = alg.run(spec_p, alg.PerturbationPolicy.summable_geometric(0.05, 0.7, seed=seed),
                       alg.StopRule(max_iters=300, zero_detect=1e-8))
-    pls_bad = 0
-    for prev, rec in zip(trace_p.records, trace_p.records[1:]):
-        metric = rec.extra["metric"]
-        c = rec.step_param
-        if op3.membership_residual(rec.y, rec.xi) > 1e-8:
-            pls_bad += 1
-        lhs = metric.inv_norm(rec.eta) ** 2
-        rhs = spec_p.sigma ** 2 * (metric.inv_norm(c * metric.apply(rec.xi)) ** 2
-                                   + metric.inv_norm(rec.y - prev.x) ** 2)
-        if lhs > rhs + 1e-12:
-            pls_bad += 1
-        if np.linalg.norm(rec.eta - (c * metric.apply(rec.xi) + rec.y - prev.x)) > 1e-9:
-            pls_bad += 1
+    member, identity, gap = pls_residuals(trace_p, op3, spec_p.sigma)
+    pls_bad = int(np.sum(member > 1e-8) + np.sum(gap > 1e-12) + np.sum(identity > 1e-9))
     results.append(CheckResult("algorithms.pls_condition_audit", pls_bad == 0,
                                f"{pls_bad} violations in {trace_p.iterations} iterations"))
 
@@ -454,7 +478,7 @@ def algorithms_suite(seed=1):
                          common_zero=np.zeros(1))
     trace_r = alg.run(spec_r, alg.PerturbationPolicy.summable_geometric(0.05, 0.5, seed=seed),
                       alg.StopRule(max_iters=300, zero_detect=1e-8))
-    rs_bad = _violated_cuts(trace_r)
+    rs_bad = int(np.sum(cut_margins(trace_r) > 1e-10))
     results.append(CheckResult("algorithms.rs_zero_containment", rs_bad == 0,
                                f"{rs_bad} violated cuts in {trace_r.iterations} iterations"))
 
@@ -464,17 +488,12 @@ def algorithms_suite(seed=1):
                          f=CoshSum(3), common_zero=np.zeros(3))
     trace_c = alg.run(spec_c, alg.PerturbationPolicy.zero(),
                       alg.StopRule(max_iters=100, zero_detect=1e-8))
-    cosh_bad = _violated_cuts(trace_c)
+    cosh_bad = int(np.sum(cut_margins(trace_c) > 1e-10))
     results.append(CheckResult("algorithms.rs_cosh_projection", trace_c.converged and cosh_bad == 0,
                                f"{trace_c.termination_reason} after {trace_c.iterations} iterations, "
                                f"{cosh_bad} violated cuts"))
 
     return results
-
-
-def _violated_cuts(trace):
-    """rs iterations with a recorded cut that excludes the common zero."""
-    return sum(any(m > 1e-10 for m in rec.extra["rs"].zero_margins) for rec in trace.records[1:])
 
 
 def run_suite(name, seed=1):

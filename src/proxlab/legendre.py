@@ -231,13 +231,14 @@ def _norm(x, p):
 
 
 def _radial(v, p, exponent):
-    """N^exponent sign(v) (|v| / N)^(p-1) with N = ||v||_p, and 0 where v
-    vanishes: the power kinds' gradients and inverses, with no power that
-    overflows before the result does."""
+    """N^exponent sign(v) (|v| / N)^(p-1) with N = ||v||_p, and 0 in each
+    zero coordinate (where an overflowed N^exponent would give inf * 0): the
+    power kinds' gradients and inverses, with no power that overflows before
+    the result does."""
     v = np.asarray(v, dtype=float)
     n = _norm(v, p)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(n != 0.0, n ** exponent * (np.sign(v) * (np.abs(v) / n) ** (p - 1.0)), 0.0)
+        return np.where(v != 0.0, n ** exponent * (np.sign(v) * (np.abs(v) / n) ** (p - 1.0)), 0.0)
 
 
 def euclidean(dim) -> QuadraticForm:
@@ -250,6 +251,11 @@ def bregman_distance(f: LegendreFn, y, x) -> float:
     y = as_vector(y, f.dim)
     x = as_vector(x, f.dim)
     return f.value(y) - f.value(x) - pairing(f.gradient(x), y - x)
+
+
+def grad_inverse_residual(f, x) -> float:
+    """||grad f*(grad f(x)) - x|| relative to 1 + ||x||: zero for a Legendre f."""
+    return float(np.linalg.norm(f.grad_inverse(f.gradient(x)) - x) / (1.0 + np.linalg.norm(x)))
 
 
 def diagnostics(f, probe_budget=200, seed=0):
@@ -293,9 +299,7 @@ def diagnostics(f, probe_budget=200, seed=0):
     if hasattr(f, "grad_inverse") and hasattr(f, "gradient"):
         worst = 0.0
         for _ in range(probe_budget):
-            x = rng.uniform(-3.0, 3.0, size=dim)
-            back = f.grad_inverse(f.gradient(x))
-            worst = max(worst, float(np.linalg.norm(back - x) / (1.0 + np.linalg.norm(x))))
+            worst = max(worst, grad_inverse_residual(f, rng.uniform(-3.0, 3.0, size=dim)))
         report["grad_inverse_roundtrip"] = {"max_relative_residual": worst, "passed": worst <= 1e-8}
     else:
         report["grad_inverse_roundtrip"] = {"max_relative_residual": None, "passed": None}

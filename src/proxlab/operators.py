@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyOperatorValue
 from .legendre import _parse_kv_list
-from .numerics import as_vector, halton_points, row_dot, row_norm
+from .numerics import as_vector, halton_points, require_finite, row_dot, row_norm
 
 
 class ValueBox:
@@ -422,11 +422,12 @@ def enlargement_residual(op: MonotoneOp, eps, y, xi, witness_budget=256):
 
 def zero_residual(op: MonotoneOp, f, lam, x) -> float:
     """||x - Res^f_{lam A}(x)||; zero (to tolerance) exactly at zeros of A."""
-    from .resolvent import protoresolvent
+    from .resolvent import _check_pairing, _zero_residual
 
     x = as_vector(x, op.dim)
-    y = protoresolvent(f, op, lam, f.gradient(x))
-    return float(np.linalg.norm(x - y))
+    _check_pairing(f, op, lam)
+    require_finite(f.gradient(x), "grad f(x)")
+    return _zero_residual(f, op, lam, x)
 
 
 CATALOG_SPECS = (

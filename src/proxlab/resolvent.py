@@ -190,6 +190,11 @@ def _protoresolvent(f, op, lam, w):
     return _certify(f, op, lam, w, _solver(f, op, lam)(w))[0]
 
 
+def _zero_residual(f, op, lam, x):
+    """||x - Res^f_{lam A}(x)|| on trusted data: the stop residual of every scheme."""
+    return float(np.linalg.norm(x - _protoresolvent(f, op, lam, f.gradient(x))))
+
+
 def _closed_form(f, op, lam):
     """w -> y for the closed-form pairings, over one vector or the rows of a
     (k, dim) array (each row with the bits of the single-vector call); None
@@ -340,6 +345,10 @@ class StronglyImplicitSpec:
     psi: callable
     label: str
 
+    def gap(self, eta, xi, x, y):
+        """Phi - Psi: the condition Phi < Psi holds where this is negative."""
+        return self.phi(eta, xi, x, y) - self.psi(eta, xi, x, y)
+
 
 def ss_form(sigma, mu) -> StronglyImplicitSpec:
     """Phi = ||eta||, Psi = sigma max{||xi||, mu ||y - x||}."""
@@ -399,8 +408,7 @@ def radius_search(f, op, lam, x, spec: StronglyImplicitSpec, probes=64, halving_
 
     y0 = _protoresolvent(f, op, lam, gx)
     xi0 = -(f.gradient(y0) - gx) / lam
-    zero = np.zeros(f.dim)
-    theta0 = spec.psi(zero, xi0, x, y0) - spec.phi(zero, xi0, x, y0)
+    theta0 = -spec.gap(np.zeros(f.dim), xi0, x, y0)
     if not theta0 > 0.0:
         raise StrongImplicitnessFailure(
             f"strong implicitness fails at 0: psi(0) - phi(0) = {theta0:.3e}"
@@ -416,8 +424,7 @@ def radius_search(f, op, lam, x, spec: StronglyImplicitSpec, probes=64, halving_
         w = lam * eta + gx
         y, certified = _certified_rows(solve, f, op, lam, w)
         xi = eta - (f.gradient(y) - gx) / lam
-        ok = (certified & _verify(f, op, lam, eta, gx, y, xi).passed
-              & (spec.phi(eta, xi, x, y) < spec.psi(eta, xi, x, y)))
+        ok = certified & _verify(f, op, lam, eta, gx, y, xi).passed & (spec.gap(eta, xi, x, y) < 0.0)
         if ok.all():
             return True
         j = int(np.argmin(ok))  # the first failing row

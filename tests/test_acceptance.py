@@ -13,10 +13,8 @@ from oracles import ss_radius_grid_oracle
 from proxlab import algorithms as alg
 from proxlab import checks, cli
 from proxlab.legendre import CoshSum, PowerEuclidean, euclidean
-from proxlab.numerics import pairing
 from proxlab.operators import Affine, SubdiffAbs, identity_op
-from proxlab.reference import brute_force_protoresolvent
-from proxlab.resolvent import holder_certify, radius_search, solve_inclusion, ss_form
+from proxlab.resolvent import holder_certify, radius_search, solve_inclusion, ss_form, verify_solution
 
 
 def _report(n, text):
@@ -29,16 +27,12 @@ def test_criterion_1_prop42_roundtrip():
     for _ in range(total):
         inst = checks.random_instance(rng)
         sol = solve_inclusion(inst)
-        membership = inst.op.membership_residual(sol.y, sol.xi)
-        linear = float(np.linalg.norm(
-            inst.eta - sol.xi - (inst.f.gradient(sol.y) - inst.f.gradient(inst.x)) / inst.lam))
-        assert membership <= 1e-8, f"membership {membership} on {inst}"
-        assert linear <= 1e-10, f"linear identity {linear} on {inst}"
+        rep = verify_solution(inst, sol.y, sol.xi)
+        assert rep.membership_residual <= 1e-8, f"membership {rep.membership_residual} on {inst}"
+        assert rep.linear_residual <= 1e-10, f"linear identity {rep.linear_residual} on {inst}"
         if inst.f.dim == 1:
             oned += 1
-            w = inst.lam * inst.eta + inst.f.gradient(inst.x)
-            ref = brute_force_protoresolvent(inst.f, inst.op, inst.lam, w)
-            assert np.linalg.norm(ref - sol.y) <= 1e-6, f"strategy disagreement on {inst}"
+            assert checks.reference_gap(inst, sol.y) <= 1e-6, f"strategy disagreement on {inst}"
     _report(1, f"{total} random inclusions re-verified; "
                f"two solver strategies agree on all {oned} 1-D instances")
 
@@ -48,15 +42,10 @@ def test_criterion_2_conjugacy_suite():
     for f in checks.legendre_catalog():
         for _ in range(1000):
             x = rng.uniform(-3.0, 3.0, size=f.dim)
-            g = f.gradient(x)
-            fy = abs(f.value(x) + f.conjugate_value(g) - pairing(g, x))
-            assert fy <= 1e-8 * (1.0 + abs(f.value(x)))
-            back = f.grad_inverse(g)
-            assert np.linalg.norm(back - x) <= 1e-8 * (1.0 + np.linalg.norm(x))
-    cosh1 = CoshSum(1)
+            assert checks.fenchel_young_gap(f, x) <= 1e-8
+            assert checks.grad_inverse_residual(f, x) <= 1e-8
     for u in np.arange(-5.0, 5.0 + 1e-9, 0.1):
-        uu = np.array([u])
-        assert abs(cosh1.conjugate_value(uu) - cosh1.closed_form_conjugate(uu)) <= 1e-10
+        assert checks.conjugate_gap(CoshSum(1), np.array([u])) <= 1e-10
     _report(2, "Fenchel-Young, gradient-inverse round trip, and the closed-form "
                "conjugate grid all hold at stated tolerances")
 
@@ -98,13 +87,9 @@ def test_criterion_5_hybrid_projection_scheme():
     assert trace.converged and trace.iterations <= 500
     assert trace.final_residual <= 1e-6
 
-    for prev, rec in zip(trace.records, trace.records[1:]):
-        mu = rec.step_param
-        assert op.membership_residual(rec.y, rec.xi) <= 1e-8
-        assert np.linalg.norm(rec.xi + mu * (rec.y - prev.x) + rec.eta) <= 1e-10
-        assert np.linalg.norm(rec.eta) <= 0.5 * max(
-            np.linalg.norm(rec.xi), mu * np.linalg.norm(rec.y - prev.x)) + 1e-12
-        assert np.linalg.norm(rec.x - shift) <= np.linalg.norm(prev.x - shift) + 1e-10
+    member, identity, gap = checks.ss_residuals(trace, op, 0.5)
+    assert np.all(member <= 1e-8) and np.all(identity <= 1e-10) and np.all(gap <= 1e-12)
+    assert np.all(checks.fejer_steps(trace, shift) <= 1e-10)
 
     r = radius_search(euclidean(1), op, 1.0, np.array([2.0]), ss_form(0.5, 1.0))
     assert 0.4 <= r <= 0.55, r
@@ -124,12 +109,8 @@ def test_criterion_6_ips():
     trace = alg.run(spec, alg.PerturbationPolicy.constant_norm(0.05, seed=6),
                     alg.StopRule(max_iters=500, zero_detect=1e-6))
     assert trace.converged and trace.iterations <= 500
-    for prev, rec in zip(trace.records, trace.records[1:]):
-        lam = rec.step_param
-        xi = (rec.eta - (rec.y - prev.x)) / lam
-        assert op.membership_residual(rec.y, xi) <= 1e-8
-        assert np.linalg.norm(rec.eta) <= 0.3 * np.linalg.norm(rec.y - prev.x) + 1e-12
-        assert np.linalg.norm(rec.x - (rec.y - rec.eta)) <= 1e-12
+    member, update, gap = checks.ips_residuals(trace, op, 0.3)
+    assert np.all(member <= 1e-8) and np.all(gap <= 1e-12) and np.all(update <= 1e-12)
     _report(6, f"nu formula reproduced to 1e-12; converged in {trace.iterations} "
                f"iterations with the inclusion and relative-error conditions at "
                f"every accepted iterate")
@@ -172,8 +153,7 @@ def test_criterion_8_common_zero_scheme():
         trace = alg.run(spec, policy, alg.StopRule(max_iters=2000, zero_detect=1e-8))
         assert trace.iterations <= 2000
         assert abs(trace.final_x[0]) <= 1e-4, trace.final_x
-        for rec in trace.records[1:]:
-            assert all(m <= 1e-10 for m in rec.extra["rs"].zero_margins)
+        assert np.all(checks.cut_margins(trace) <= 1e-10)
         iters[label] = trace.iterations
     _report(8, f"first step reproduces 0.75 to 1e-10; runs reach proj_Z(x0) = 0 in "
                f"{iters['exact']} (exact) and {iters['geometric']} (perturbed) iterations "

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from oracles import grid_argmin_1d
 from proxlab import algorithms as alg
+from proxlab import checks
 from proxlab.errors import (ConfigError, DimensionMismatch, InfeasibleProjection,
                             SolverError, UpdateUndefined)
 from proxlab.legendre import CoshSum, bregman_distance, euclidean
@@ -211,8 +212,7 @@ def test_rs_two_dimensional_invariants():
     dists = [float(np.linalg.norm(x0 - rec.x)) for rec in trace.records]
     assert all(b >= a - 1e-10 for a, b in zip(dists, dists[1:]))
     assert all(d <= np.linalg.norm(x0) + 1e-10 for d in dists)
-    for rec in trace.records[1:]:
-        assert all(m <= 1e-10 for m in rec.extra["rs"].zero_margins)
+    assert np.all(checks.cut_margins(trace) <= 1e-10)
 
     exact = alg.run(spec, alg.PerturbationPolicy.zero(),
                     alg.StopRule(max_iters=300, zero_detect=1e-7))
@@ -264,8 +264,8 @@ def test_run_reject_shrink_falls_back():
     assert trace.converged
     accepted = [rec for rec in trace.records[1:]]
     assert all("shrunk" in rec.note or rec.eta_norm == 0.0 for rec in accepted)
-    for prev, rec in zip(trace.records, trace.records[1:]):
-        assert np.linalg.norm(rec.eta) <= 0.1 * np.linalg.norm(rec.y - prev.x) + 1e-12
+    _, _, gap = checks.ips_residuals(trace, abs1, 0.1)
+    assert np.all(gap <= 1e-12)
 
 
 def test_run_validates_spec():

@@ -277,12 +277,28 @@ def test_check_command_fast_suites(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+ALL_CHECKS = """
+numerics.pairing_symmetry numerics.metric_norm_identity numerics.spd_solve_roundtrip
+legendre.fenchel_young legendre.grad_inverse_roundtrip legendre.conjugate_vs_closed_form
+legendre.bregman_nonnegativity legendre.gradient_vs_finite_differences
+operators.monotonicity_audit operators.scaling_law operators.enlargement_monotone_in_eps
+operators.zero_residual_zero_sets resolvent.prop42_roundtrip resolvent.two_strategy_agreement_1d
+resolvent.exact_case_degeneration resolvent.continuous_dependence resolvent.holder_nonexpansive
+resolvent.holder_power_type algorithms.exactness_degeneration algorithms.ss_condition_audit
+algorithms.projection_geometry algorithms.fejer_monotonicity algorithms.termination_soundness
+algorithms.eckstein_condition_audit algorithms.ips_condition_audit algorithms.pls_condition_audit
+algorithms.rs_zero_containment algorithms.rs_cosh_projection
+""".split()
+
+
 def test_check_all_suites_exit_zero(capsys):
-    # shipping requirement: the full invariant battery passes at seed 1
+    # shipping requirement: the full invariant battery passes at seed 1, and
+    # no invariant is dropped or renamed
     code, out, _ = run_cli(capsys, "check", "--suite", "all", "--seed", "1")
     assert code == 0
-    assert "FAIL" not in out
-    assert "holder" in out  # the resolvent suite ran too
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == [f"PASS {name}" for name in ALL_CHECKS]
+    assert lines[-1] == "28/28 checks passed"
 
 
 def test_csv_floats_roundtrip(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import coord_box, coord_kinks, coord_value_box, enlargement_residual_scalar
+from proxlab import checks
 from proxlab.errors import DimensionMismatch, EmptyOperatorValue
 from proxlab.legendre import euclidean
 from proxlab.numerics import random_spd_matrix
@@ -83,11 +84,8 @@ def test_scaling_law():
     base = SubdiffAbs(1.0, np.zeros(2))
     for _ in range(100):
         lam = float(rng.uniform(0.2, 3.0))
-        scaled = Scaled(lam, base)
         y = rng.uniform(-2.0, 2.0, size=2)
-        xi = rng.uniform(-2.0, 2.0, size=2)
-        lhs = scaled.membership_residual(y, xi)
-        rhs = lam * base.membership_residual(y, xi / lam)
+        lhs, rhs = checks.scaling_law_sides(base, lam, y, rng.uniform(-2.0, 2.0, size=2))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -102,12 +100,7 @@ def test_monotonicity_sampled():
         OperatorSum([SubdiffAbs(0.5, np.zeros(2)), identity_op(2)]),
     ]
     for op in ops:
-        pts = op.sample_graph(60, rng)
-        for i in range(len(pts)):
-            for j in range(i):
-                y1, x1 = pts[i]
-                y2, x2 = pts[j]
-                assert np.dot(x1 - x2, y1 - y2) >= -1e-10
+        assert checks.monotonicity_gap(op, 60, rng) >= -1e-10
 
 
 def test_affine_validation():

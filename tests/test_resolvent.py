@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import grid_argmin_1d, solve_separable_scalar
-from proxlab import resolvent
+from proxlab import checks, resolvent
 from proxlab.errors import EmptyOperatorValue, NoStrategy, StrongImplicitnessFailure
 from proxlab.legendre import CoshSum, PowerEuclidean, PowerP, QuadraticForm, euclidean
 from proxlab.numerics import SpdMetric
@@ -213,10 +213,7 @@ def test_brute_force_rejects_oversized_rounds():
 def test_exact_case_degeneration():
     f = CoshSum(2)
     op = SubdiffAbs(1.0, np.zeros(2))
-    x = np.array([1.5, -0.4])
-    sol = solve_inclusion(InclusionInstance(f=f, op=op, lam=0.8, x=x, eta=np.zeros(2)))
-    direct = protoresolvent(f, op, 0.8, f.gradient(x))
-    assert np.linalg.norm(sol.y - direct) <= 1e-10
+    assert checks.exact_case_gap(f, op, 0.8, np.array([1.5, -0.4])) <= 1e-10
 
 
 def test_continuous_dependence_modulus():
@@ -224,21 +221,7 @@ def test_continuous_dependence_modulus():
     op = SubdiffAbs(1.0, np.zeros(2))
     inst = InclusionInstance(f=f, op=op, lam=1.0, x=np.array([2.0, -1.0]),
                              eta=np.array([0.1, 0.2]))
-    base = solve_inclusion(inst)
-    rng = np.random.default_rng(3)
-    moves = []
-    for delta in (1e-2, 1e-3, 1e-4):
-        worst = 0.0
-        for _ in range(8):
-            dx = rng.standard_normal(2)
-            dx *= delta / np.linalg.norm(dx)
-            de = rng.standard_normal(2)
-            de *= delta / np.linalg.norm(de)
-            pert = solve_inclusion(InclusionInstance(
-                f=f, op=op, lam=1.0, x=inst.x + dx, eta=inst.eta + de))
-            worst = max(worst, float(np.linalg.norm(pert.y - base.y)
-                                     + np.linalg.norm(pert.xi - base.xi)))
-        moves.append(worst)
+    moves = checks.perturbation_moves(inst, np.random.default_rng(3), (1e-2, 1e-3, 1e-4), 8)
     assert moves[0] >= moves[1] >= moves[2]
 
 
