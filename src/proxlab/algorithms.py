@@ -81,7 +81,7 @@ class MetricSchedule:
 
     def at(self, n: int, dim: int) -> SpdMetric:
         if self.kind == "identity":
-            return SpdMetric.identity(dim)
+            return euclidean(dim).metric
         rng = np.random.default_rng([self.seed, 7, n])
         return SpdMetric(random_spd_matrix(dim, self.eig_lo, self.eig_hi, rng))
 
@@ -552,6 +552,10 @@ class RunSpec:
             raise ConfigError(f"{self.scheme} needs an operator")
         if self.f is None:
             self.f = euclidean(self.dim)
+        elif self.scheme in ("ss", "ips", "pls") and not (isinstance(self.f, QuadraticForm)
+                                                           and self.f.is_identity):
+            raise ConfigError(f"{self.scheme} runs in its own Euclidean or metric geometry; "
+                              "only 'quadratic' is allowed", field="legendre")
         for part in [self.f, *self.all_ops]:
             if part.dim != self.dim:
                 raise DimensionMismatch(f"x0 has dimension {self.dim} but {part!r} has {part.dim}")

@@ -411,20 +411,24 @@ def algorithms_suite(seed=1):
     results.append(CheckResult("algorithms.exactness_degeneration", exact_bad == 0,
                                f"{exact_bad} mismatches over 50 draws"))
 
-    spec = alg.RunSpec(scheme="ss", x0=np.array([2.0]), op=op_abs,
-                       mu=alg.Schedule.constant(1.0), sigma=0.5)
-    trace = alg.run(spec, alg.PerturbationPolicy.radius_fraction(0.5, seed=seed),
-                    alg.StopRule(max_iters=200, zero_detect=1e-8))
-    # every accepted record against the scheme's three conditions
-    member, identity, gap = ss_residuals(trace, op_abs, 0.5)
-    xi_scale = 1.0 + np.array([np.linalg.norm(rec.xi) for rec in trace.records[1:]])
-    audit_bad = int(np.sum(member > 1e-8) + np.sum(identity > 1e-10 * xi_scale) + np.sum(gap > 1e-12))
+    # every accepted record of two ss runs against the scheme's three
+    # conditions: the 1-D run converges in two steps, the 2-D one takes more
+    audit_bad = geom_bad = fejer_bad = iterations = 0
+    for x0, zero in ((np.array([2.0]), shift), (np.array([3.0, 2.0]), np.array([1.0, -0.5]))):
+        op = SubdiffAbs(1.0, zero)
+        spec = alg.RunSpec(scheme="ss", x0=x0, op=op, mu=alg.Schedule.constant(1.0), sigma=0.5)
+        trace = alg.run(spec, alg.PerturbationPolicy.radius_fraction(0.5, seed=seed),
+                        alg.StopRule(max_iters=200, zero_detect=1e-8))
+        member, identity, gap = ss_residuals(trace, op, 0.5)
+        xi_scale = 1.0 + np.array([np.linalg.norm(rec.xi) for rec in trace.records[1:]])
+        audit_bad += int(np.sum(member > 1e-8) + np.sum(identity > 1e-10 * xi_scale)
+                         + np.sum(gap > 1e-12))
+        geom_bad += sum(abs(pairing(rec.xi, rec.x - rec.y)) > 1e-10 * scale
+                        for rec, scale in zip(trace.records[1:], xi_scale))
+        fejer_bad += int(np.sum(fejer_steps(trace, zero) > 1e-10))
+        iterations += trace.iterations
     results.append(CheckResult("algorithms.ss_condition_audit", audit_bad == 0,
-                               f"{audit_bad} violations in {trace.iterations} iterations"))
-
-    geom_bad = sum(abs(pairing(rec.xi, rec.x - rec.y)) > 1e-10 * scale
-                   for rec, scale in zip(trace.records[1:], xi_scale))
-    fejer_bad = int(np.sum(fejer_steps(trace, shift) > 1e-10))
+                               f"{audit_bad} violations in {iterations} iterations"))
     results.append(CheckResult("algorithms.projection_geometry", geom_bad == 0,
                                f"{geom_bad} hyperplane violations"))
     results.append(CheckResult("algorithms.fejer_monotonicity", fejer_bad == 0,

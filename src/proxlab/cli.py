@@ -18,7 +18,7 @@ import numpy as np
 from . import algorithms as alg
 from . import checks, legendre, operators
 from .errors import ConfigError, SolverError, StrongImplicitnessFailure
-from .numerics import SpdMetric, as_vector
+from .numerics import as_vector
 from .resolvent import (DEFAULT_MAGNITUDES, InclusionInstance, ips_form, pls_form,
                         radius_search, solve_inclusion, ss_form, verify_solution)
 
@@ -169,10 +169,6 @@ def build_run_inputs(cfg: ExperimentConfig):
         f = legendre.parse_legendre(cfg.legendre_spec, cfg.space_dim)
     except (ValueError, KeyError) as exc:
         raise ConfigError(str(exc), field="legendre")
-    if cfg.scheme in ("ss", "ips", "pls") and not (isinstance(f, legendre.QuadraticForm)
-                                                   and f.is_identity):
-        raise ConfigError(f"{cfg.scheme} runs in its own Euclidean or metric geometry; "
-                          "only 'quadratic' is allowed", field="legendre")
     try:
         ops = [operators.parse_operator(s, cfg.space_dim) for s in cfg.operator_specs]
     except (ValueError, KeyError) as exc:
@@ -327,7 +323,7 @@ def cmd_radius(args) -> int:
     elif args.form == "ips":
         spec = ips_form(args.nu, args.lam)
     else:
-        spec = pls_form(args.sigma, args.lam, SpdMetric.identity(x.shape[0]))
+        spec = pls_form(args.sigma, args.lam, legendre.euclidean(x.shape[0]).metric)
     r = radius_search(f, op, args.lam, x, spec, probes=args.probes, seed=args.seed)
     r0 = 1.0 + float(np.linalg.norm(x))
     print(f"radius = {_fmt(r)}")

@@ -8,10 +8,12 @@ where the catalog has them.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import DimensionMismatch
-from .numerics import SpdMetric, as_vector, pairing
+from .numerics import MAX_DIM, SpdMetric, as_vector, pairing
 
 
 class LegendreFn:
@@ -127,46 +129,6 @@ class CoshSum(LegendreFn):
         return "cosh"
 
 
-class PowerEuclidean(LegendreFn):
-    """f(x) = (1/rho) ||x||^rho with the Euclidean norm, rho > 1.
-
-    Gradient ||x||^{rho-2} x extends continuously by 0 at the origin; the
-    inverse is the radial rescaling u -> ||u||^{(2-rho)/(rho-1)} u.
-    """
-
-    kind = "power_euclidean"
-
-    def __init__(self, rho, dim):
-        if not 1.0 < rho < np.inf:
-            raise ValueError("power exponent rho must exceed 1")
-        self.rho = float(rho)
-        self.dim = int(dim)
-
-    def value(self, x) -> float:
-        return float(np.linalg.norm(x) ** self.rho / self.rho)
-
-    def gradient(self, x):
-        return _radial(x, 2.0, self.rho - 1.0)
-
-    def grad_inverse(self, u):
-        return _radial(u, 2.0, 1.0 / (self.rho - 1.0))
-
-    def conj_hessian(self, u):
-        """n^(r-2) (I + (r-2) v v^T) with r = rho/(rho-1), n = ||u||, v = u/n;
-        n is floored at the smallest normal float, so u = 0 gives a finite model."""
-        r = self.rho / (self.rho - 1.0)
-        n = max(float(np.linalg.norm(u)), _TINY)
-        v = u / n
-        return n ** (r - 2.0) * (np.eye(self.dim) + (r - 2.0) * np.outer(v, v))
-
-    def closed_form_conjugate(self, u):
-        rho_star = self.rho / (self.rho - 1.0)
-        return float(np.linalg.norm(u) ** rho_star / rho_star)
-
-    def spec_string(self):
-        return f"power:rho={self.rho!r}"
-
-
 class PowerP(LegendreFn):
     """f(x) = (1/rho) ||x||_p^rho for the finite-dimensional p-norm, p, rho > 1.
 
@@ -216,6 +178,20 @@ class PowerP(LegendreFn):
         return f"powerp:p={self.p!r},rho={self.rho!r}"
 
 
+class PowerEuclidean(PowerP):
+    """f(x) = (1/rho) ||x||^rho with the Euclidean norm, rho > 1: PowerP with
+    p = 2, whose gradient ||x||^{rho-2} x is the radial rescaling with inverse
+    u -> ||u||^{(2-rho)/(rho-1)} u."""
+
+    kind = "power_euclidean"
+
+    def __init__(self, rho, dim):
+        super().__init__(2.0, rho, dim)
+
+    def spec_string(self):
+        return f"power:rho={self.rho!r}"
+
+
 _TINY = np.finfo(float).tiny
 
 
@@ -238,11 +214,23 @@ def _radial(v, p, exponent):
     v = np.asarray(v, dtype=float)
     n = _norm(v, p)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(v != 0.0, n ** exponent * (np.sign(v) * (np.abs(v) / n) ** (p - 1.0)), 0.0)
+        out = np.where(v != 0.0, n ** exponent * (np.sign(v) * (np.abs(v) / n) ** (p - 1.0)), 0.0)
+        if not np.isfinite(out).all():
+            # N^exponent (or N) overflowed before the entry did, and inf * 0 or
+            # inf * (|v_i| / N)^(p-1) stands where the entry may be finite: take
+            # those entries in log form, with log N = log top + log ||v / top||_p
+            bad = ~np.isfinite(out) & (v != 0.0)
+            top = np.maximum.reduce(np.abs(v), axis=-1, keepdims=True)
+            log_n = np.broadcast_to(np.log(top) + np.log(_norm(v / top, p)), v.shape)[bad]
+            log_v = np.log(np.abs(v[bad]))
+            out[bad] = np.sign(v[bad]) * np.exp(exponent * log_n + (p - 1.0) * (log_v - log_n))
+    return out
 
 
+@lru_cache(maxsize=MAX_DIM)
 def euclidean(dim) -> QuadraticForm:
-    """The canonical f = (1/2)||.||^2."""
+    """The canonical f = (1/2)||.||^2: one shared instance per dimension,
+    whose metric is read-only."""
     return QuadraticForm(SpdMetric.identity(dim))
 
 
@@ -343,7 +331,7 @@ def parse_legendre(spec: str, dim: int) -> LegendreFn:
     head = head.strip().lower()
     if head == "quadratic":
         if not rest:
-            return QuadraticForm(SpdMetric.identity(dim))
+            return euclidean(dim)
         kv = _parse_kv_list(rest)
         if "diag" not in kv:
             raise ValueError(f"quadratic spec needs diag=...: {spec!r}")

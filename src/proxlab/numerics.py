@@ -89,6 +89,7 @@ class SpdMetric:
         except np.linalg.LinAlgError as exc:
             raise NotSpd("Cholesky factorization failed; matrix is not SPD") from exc
         m.flags.writeable = False
+        self._chol.flags.writeable = False
         self.matrix = m
         self.dim = m.shape[0]
 

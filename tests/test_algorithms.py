@@ -7,7 +7,7 @@ from proxlab import algorithms as alg
 from proxlab import checks
 from proxlab.errors import (ConfigError, DimensionMismatch, InfeasibleProjection,
                             SolverError, UpdateUndefined)
-from proxlab.legendre import CoshSum, bregman_distance, euclidean
+from proxlab.legendre import CoshSum, QuadraticForm, bregman_distance, euclidean
 from proxlab.numerics import SpdMetric
 from proxlab.operators import Affine, SubdiffAbs, identity_op
 
@@ -376,6 +376,40 @@ def test_run_spec_checks_dimensions():
         alg.RunSpec(scheme="ips", x0=np.ones(2), op=identity_op(2), z_basis=np.ones((1, 3)))
     with pytest.raises(ConfigError):
         alg.RunSpec(scheme="ss", x0=np.ones(2), op=identity_op(2), radius_probes=0)
+
+
+def test_run_spec_rejects_a_foreign_geometry_for_ss_ips_pls():
+    # these schemes run in their own geometry and used to ignore a given f
+    abs1 = SubdiffAbs(1.0, np.zeros(1))
+    for scheme in ("ss", "ips", "pls"):
+        for f in (CoshSum(1), QuadraticForm(SpdMetric.diagonal([2.0]))):
+            with pytest.raises(ConfigError) as info:
+                alg.RunSpec(scheme=scheme, x0=[2.0], op=abs1, f=f)
+            assert info.value.field == "legendre"
+        alg.RunSpec(scheme=scheme, x0=[2.0], op=abs1, f=QuadraticForm(SpdMetric.identity(1)))
+    alg.RunSpec(scheme="eckstein", x0=[2.0], op=abs1, f=CoshSum(1))
+
+
+def test_euclidean_geometry_is_built_once_per_dimension(monkeypatch):
+    f = euclidean(4)
+    assert f is euclidean(4) and alg.MetricSchedule().at(3, 4) is f.metric
+    assert not f.metric.matrix.flags.writeable and not f.metric._chol.flags.writeable
+    built = []
+    init = SpdMetric.__init__
+
+    def counting(self, matrix):
+        built.append(matrix)
+        init(self, matrix)
+
+    z = np.array([0.5, -0.25, 1.0, -0.75])
+    d = np.array([0.5, 1.0, 1.5, 2.0])
+    for scheme, op in (("ss", SubdiffAbs(1.0, z)), ("ips", Affine(np.diag(d), -d * z))):
+        spec = alg.RunSpec(scheme=scheme, x0=z + 1.5, op=op, nu=0.3)
+        with monkeypatch.context() as patch:
+            patch.setattr(SpdMetric, "__init__", counting)
+            trace = alg.run(spec, alg.PerturbationPolicy.constant_norm(0.05, seed=1),
+                            alg.StopRule(max_iters=500, zero_detect=1e-8))
+        assert trace.converged and trace.iterations >= 10 and built == []
 
 
 def test_negative_ips_nu_is_a_typed_error():

@@ -141,6 +141,27 @@ def test_power_gradient_is_zero_in_zero_coordinates_past_overflow():
     assert np.array_equal(g, [[np.inf, 0.0]]) and not np.signbit(g[0, 1])
 
 
+def test_power_gradient_is_finite_in_tiny_coordinates_past_overflow():
+    # N^(rho-1) overflowed to inf while (|x_i| / N)^(p-1) underflowed to 0,
+    # and inf * 0 made the coordinate NaN (or inf * 1e-300 made it inf)
+    with np.errstate(over="ignore"):
+        g = PowerP(3.0, 4.0, 3).gradient(np.array([1e200, 0.0, -1.0]))
+        rows = PowerEuclidean(4.0, 2).gradient(np.array([[1e200, 1e-200], [3.0, 4.0],
+                                                         [1e200, 1e-100]]))
+        u = PowerP(1.5, 1.5, 2).grad_inverse(np.array([1e200, 1e-150]))
+        top = PowerEuclidean(1.5, 2).gradient(np.array([1.7e308, 1.7e308]))  # N overflows
+    assert np.array_equal(g[:2], [np.inf, 0.0])
+    assert_allclose(g[2], -1e200, rtol=1e-12)
+    assert rows[0, 0] == np.inf
+    assert_allclose(rows[0, 1], 1e200, rtol=1e-12)
+    assert np.array_equal(rows[1], PowerEuclidean(4.0, 2).gradient(np.array([3.0, 4.0])))
+    assert rows[2, 0] == np.inf
+    assert_allclose(rows[2, 1], 1e300, rtol=1e-12)
+    assert u[0] == np.inf
+    assert_allclose(u[1], 1e-300, rtol=1e-12)
+    assert_allclose(top, 1.7e308 / (np.sqrt(np.sqrt(2.0) * 1.7) * 1e154), rtol=1e-12)
+
+
 @pytest.mark.parametrize("f", [PowerEuclidean(1.5, 1), PowerEuclidean(4.0, 8), PowerP(1.5, 3.0, 1),
                                PowerP(4.0, 1.5, 3), PowerP(2.7, 3.0, 64)])
 def test_power_rows_match_single_vectors(f):

@@ -64,6 +64,12 @@ CONFIGS = {
         "scheme_params": {"sigma": 0.5, "radius_probes": 4},
         "policy": {"kind": "radius_fraction", "fraction": 0.4}, "stop": STOP, "seed": 7,
     },
+    "eckstein_power3_summable_1d": {
+        "space_dim": 1, "scheme": "eckstein", "x0": [2.5], "legendre": "power:rho=3",
+        "operator": "affine:diag=1.5,b=-0.75",
+        "scheme_params": {"lambda": {"kind": "constant", "value": 0.7}},
+        "policy": {"kind": "summable_geometric", "c": 0.1, "q": 0.5}, "stop": STOP, "seed": 9,
+    },
     "rs_cosh_2d_zero": {
         "space_dim": 2, "scheme": "rs", "x0": [1.0, 1.0], "legendre": "cosh",
         "operators": ["abs:w=1,shift=0", "affine:diag=1,b=0"],
@@ -83,9 +89,12 @@ CONFIGS = {
 # cyclic-bisection dual projection gave way to the active-set Newton kernel
 # (same 27 iterations, iterates within 4e-11); both cosh configs re-pinned when
 # the scalar bisection gave way to the cosh + abs closed form and the
-# multisection (same iteration counts, values within 1.2e-15 absolute)
+# multisection (same iteration counts, values within 1.2e-15 absolute);
+# eckstein_power3_summable_1d, the one power-geometry trace, was recorded
+# while PowerEuclidean still had its own formulas
 EXPECTED = {
     "eckstein_cosh_constant_norm_geometric": (0, "286cbd4f7cf8b9c7c5399e5ba6ec2bda50630d45f3b09d9bafc0ea02d8b58ef7"),
+    "eckstein_power3_summable_1d": (0, "0251a05a20219a19d32948d93ac0e0e444a6bb7ff448aa19aa1fdd23f3a56308"),
     "eckstein_summable_criterion10": (0, "7ee494766d15f0a34b4832319d96ffce2049f0f583a8e3045d2df498a71c8b9d"),
     "ips_nu_from_radius_fraction_1d": (0, "14880fa4086bb5d2a0ef4f3fe9371d2aeb58a4096ee57dfcd595e39ae9c9de2a"),
     "ips_z_basis_summable_3d": (0, "846c05aba67ce17aa84cb6fd568a16f186e7422409538c40171e52ead451aa69"),
