@@ -481,24 +481,29 @@ def rs_step(f: LegendreFn, ops, lams, etas, x0, x, common_zero=None) -> RsIterat
     return _rs_step(f, ops, lams, etas, x0, x, common_zero)
 
 
+def _degenerate_cut(a, g1, g2):
+    """Whether the cut normal a = g1 - g2 is lost in the rounding of its own
+    two terms, relative to their size (so at every scale of the iterates)."""
+    return np.linalg.norm(a) <= 1e-14 * (np.linalg.norm(g1) + np.linalg.norm(g2))
+
+
 def _rs_step(f, ops, lams, etas, x0, x, common_zero):
     gx = f.gradient(x)
     ws, ys, xis, cuts = [], [], [], []
     for op, lam, eta in zip(ops, lams, etas):
         w = f.grad_inverse(lam * eta + gx)
         sol = _solve(f, op, lam, eta, gx)
-        a = f.gradient(w) - f.gradient(sol.y)
-        b = (f.value(sol.y) - f.value(w)
-             - pairing(f.gradient(sol.y), sol.y) + pairing(f.gradient(w), w))
-        degenerate = np.linalg.norm(a) <= 1e-14 * (1.0 + np.linalg.norm(f.gradient(w)))
-        cuts.append(None if degenerate else (a, b))
+        gw, gy = f.gradient(w), f.gradient(sol.y)
+        a = gw - gy
+        b = f.value(sol.y) - f.value(w) - pairing(gy, sol.y) + pairing(gw, w)
+        cuts.append(None if _degenerate_cut(a, gw, gy) else (a, b))
         ws.append(w)
         ys.append(sol.y)
         xis.append(sol.xi)
 
-    aq = f.gradient(x0) - f.gradient(x)
-    degenerate = np.linalg.norm(aq) <= 1e-14 * (1.0 + np.linalg.norm(f.gradient(x0)))
-    q_cut = None if degenerate else (aq, pairing(aq, x))
+    g0 = f.gradient(x0)
+    aq = g0 - gx
+    q_cut = None if _degenerate_cut(aq, g0, gx) else (aq, pairing(aq, x))
 
     it = RsIterate(ws=ws, ys=ys, xis=xis, etas=[np.array(e) for e in etas],
                    c_halfspaces=cuts, q_halfspace=q_cut, x_next=x)

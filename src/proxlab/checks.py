@@ -123,6 +123,23 @@ def random_instance(rng) -> InclusionInstance:
 
 #  invariant measures
 
+def pairing_asymmetry(a, b):
+    """|<a, b> - <b, a>| relative to 1 + |<a, b>|: 0 for the symmetric pairing."""
+    ab = pairing(a, b)
+    return abs(ab - pairing(b, a)) / (1.0 + abs(ab))
+
+
+def metric_norm_gap(m, w):
+    """| ||w||_M^2 - <M w, w> | relative to 1 + <M w, w>."""
+    mww = pairing(m.apply(w), w)
+    return abs(m.norm(w) ** 2 - mww) / (1.0 + abs(mww))
+
+
+def solve_roundtrip_residual(m, b):
+    """||M (M^{-1} b) - b|| relative to 1 + ||b||."""
+    return float(np.linalg.norm(m.apply(m.solve(b)) - b) / (1.0 + np.linalg.norm(b)))
+
+
 def fenchel_young_gap(f, x):
     """|f(x) + f*(grad f(x)) - <grad f(x), x>| relative to 1 + |f(x)| (Fenchel-Young)."""
     g, fx = f.gradient(x), f.value(x)
@@ -241,15 +258,10 @@ def _check_numerics(rng):
         dim = int(rng.integers(1, 9))
         a = rng.uniform(-5.0, 5.0, size=dim)
         b = rng.uniform(-5.0, 5.0, size=dim)
-        if abs(pairing(a, b) - pairing(b, a)) > 1e-12 * (1.0 + abs(pairing(a, b))):
-            ok_pair = False
+        ok_pair &= pairing_asymmetry(a, b) <= 1e-12
         m = SpdMetric(random_spd_matrix(dim, 0.2, 3.0, rng))
-        w = rng.uniform(-5.0, 5.0, size=dim)
-        if abs(m.norm(w) ** 2 - pairing(m.apply(w), w)) > 1e-12 * (1.0 + abs(pairing(m.apply(w), w))):
-            ok_norm = False
-        x = m.solve(b)
-        if np.linalg.norm(m.apply(x) - b) > 1e-10 * (1.0 + np.linalg.norm(b)):
-            ok_solve = False
+        ok_norm &= metric_norm_gap(m, rng.uniform(-5.0, 5.0, size=dim)) <= 1e-12
+        ok_solve &= solve_roundtrip_residual(m, b) <= 1e-10
     return [
         CheckResult("numerics.pairing_symmetry", ok_pair, "1000 random pairs"),
         CheckResult("numerics.metric_norm_identity", ok_norm, "1000 random metrics"),

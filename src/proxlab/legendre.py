@@ -78,7 +78,7 @@ class QuadraticForm(LegendreFn):
         return self.metric.solve(u)
 
     def conj_hessian(self, u):
-        return self.metric.solve(np.eye(self.dim))
+        return self.metric.inverse
 
     def closed_form_conjugate(self, u):
         return 0.5 * pairing(self.metric.solve(u), u)

@@ -7,7 +7,7 @@ its dual share a representation and only parameter names convey the role.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -68,10 +68,12 @@ def pairing(a, b) -> float:
 
 
 class SpdMetric:
-    """Symmetric positive definite matrix with a cached Cholesky factor.
+    """Symmetric positive definite matrix M = L L^T with its Cholesky factor L.
 
     The SPD check is factorization-based: construction fails exactly when the
-    (symmetrized) matrix is not positive definite.  The methods take trusted
+    (symmetrized) matrix is not positive definite.  Solves and M^{-1}-norms go
+    through the inverse factor L^{-1}, computed on first use and cached, so a
+    metric that never solves pays nothing for it.  The methods take trusted
     length-`dim` vectors, or (k, dim) stacks of them, and do not check them;
     each row gets the same bits as the single-vector call.
     """
@@ -101,8 +103,8 @@ class SpdMetric:
     def diagonal(cls, diag):
         return cls(np.diag(np.asarray(diag, dtype=float)))
 
-    # read-only matrix, so each flag is computed once, on first use (the run
-    # loop builds a fresh metric per step and reads at most one flag)
+    # read-only matrix, so each flag and inverse is computed once, on first
+    # use (the run loop builds a fresh metric per step and reads few of them)
     @cached_property
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.matrix, np.eye(self.dim)))
@@ -111,41 +113,79 @@ class SpdMetric:
     def is_diagonal(self) -> bool:
         return bool(np.count_nonzero(self.matrix - np.diag(np.diagonal(self.matrix))) == 0)
 
+    @cached_property
+    def inv_chol(self):
+        """L^{-1}, read-only: lower triangular with L^{-1} L = I."""
+        inv = np.tril(np.linalg.inv(self._chol))
+        inv.flags.writeable = False
+        return inv
+
+    @cached_property
+    def inverse(self):
+        """M^{-1} = L^{-T} L^{-1}, exactly symmetric and read-only."""
+        inv = self.inv_chol.T @ self.inv_chol
+        inv = 0.5 * (inv + inv.T)
+        inv.flags.writeable = False
+        return inv
+
     def apply(self, w):
         return (self.matrix @ np.asarray(w)[..., None])[..., 0]
 
     def solve(self, b):
-        """Solve M x = b through the cached factor."""
-        z = np.linalg.solve(self._chol, np.asarray(b)[..., None])
-        return np.linalg.solve(self._chol.T, z)[..., 0]
+        """Solve M x = b as x = L^{-T} (L^{-1} b)."""
+        z = self.inv_chol @ np.asarray(b)[..., None]
+        return (self.inv_chol.T @ z)[..., 0]
 
     def norm(self, w) -> float:
         """||w||_M = sqrt(<Mw, w>)."""
         return float(np.sqrt(max(pairing(self.apply(w), w), 0.0)))
 
     def inv_norm(self, w):
-        """||w||_{M^{-1}} = sqrt(<M^{-1}w, w>)."""
-        w = np.asarray(w)
-        sq = np.maximum(row_dot(self.solve(w), w), 0.0)
-        return float(np.sqrt(sq)) if w.ndim == 1 else np.sqrt(sq)
+        """||w||_{M^{-1}} = ||L^{-1} w||."""
+        return row_norm((self.inv_chol @ np.asarray(w)[..., None])[..., 0])
 
     def __repr__(self):
         return f"SpdMetric(dim={self.dim})"
 
 
+_HALTON_PLAIN_COORDS = 8  # coordinates past these have their digits scrambled
+
+
+@lru_cache(maxsize=MAX_DIM)
+def _halton_digit_table(dim):
+    """Row j maps a base-p_j digit to the digit written: the identity for the
+    first _HALTON_PLAIN_COORDS coordinates, past them a fixed permutation of
+    1..p_j - 1 drawn from default_rng(p_j).  Digit 0 maps to 0, so a point's
+    digit expansion stays finite.  Read-only."""
+    table = np.zeros((dim, _HALTON_PRIMES[dim - 1]), dtype=np.int64)
+    for j, base in enumerate(_HALTON_PRIMES[:dim]):
+        table[j, :base] = np.arange(base)
+        if j >= _HALTON_PLAIN_COORDS:
+            table[j, 1:base] = 1 + np.random.default_rng(base).permutation(base - 1)
+    table.flags.writeable = False
+    return table
+
+
 def halton_points(count, dim):
     """Deterministic low-discrepancy points in [0, 1)^dim (van der Corput per
-    axis), starting at index 20 to skip the sequence's aligned first points."""
+    axis), starting at index 20 to skip the sequence's aligned first points.
+
+    Plain Halton degrades in high coordinates: with a few hundred points the
+    large bases never wrap, so coordinate j is just n / p_j and neighbouring
+    coordinates move together.  Past the first _HALTON_PLAIN_COORDS
+    coordinates the digits are therefore scrambled (`_halton_digit_table`);
+    the first ones keep the plain sequence."""
     if dim > len(_HALTON_PRIMES):
         raise DimensionMismatch(f"halton grid supports dim <= {len(_HALTON_PRIMES)}")
     bases = np.array(_HALTON_PRIMES[:dim])
+    table, cols = _halton_digit_table(dim), np.arange(dim)
     n = np.repeat(np.arange(20, 20 + count)[:, None], dim, axis=1)
     f = np.ones(dim)  # base**-k at digit position k, the same for every point
     r = np.zeros((count, dim))
     # one pass per digit position; finished entries (n = 0) add zero digits
     while n.any():
         f /= bases
-        r += f * (n % bases)
+        r += f * table[cols, n % bases]
         n //= bases
     return r
 

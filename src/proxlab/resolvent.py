@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import EmptyOperatorValue, NoStrategy, SolverError, StrongImplicitnessFailure
 from .legendre import LegendreFn, QuadraticForm
-from .numerics import as_vector, require_finite, row_norm, unit_directions
+from .numerics import as_vector, require_finite, row_dot, row_norm, unit_directions
 from .operators import MonotoneOp
 
 INNER_RTOL = 1e-10     # certificate and linear-verification bound, relative to 1 + norm
@@ -369,13 +369,14 @@ def ips_form(nu, lam) -> StronglyImplicitSpec:
 
 
 def pls_form(sigma, c, metric) -> StronglyImplicitSpec:
-    """Squared metric-norm form; the scheme-side error is c M xi + (y - x)."""
+    """Squared metric-norm form; the scheme-side error is c M xi + (y - x).
+    Psi's term ||c M xi||^2_{M^{-1}} is c^2 <M xi, xi>, which needs no solve."""
 
     def phi(eta, xi, x, y):
         return metric.inv_norm(c * metric.apply(xi) + (y - x)) ** 2
 
     def psi(eta, xi, x, y):
-        return sigma ** 2 * (metric.inv_norm(c * metric.apply(xi)) ** 2 + metric.inv_norm(y - x) ** 2)
+        return sigma ** 2 * (c ** 2 * row_dot(metric.apply(xi), xi) + metric.inv_norm(y - x) ** 2)
 
     return StronglyImplicitSpec(phi=phi, psi=psi, label=f"pls(sigma={sigma},c={c})")
 

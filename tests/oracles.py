@@ -29,16 +29,21 @@ def bisect_increasing(g, lo, hi, iters=200):
     return 0.5 * (lo + hi)
 
 
-def halton_points_scalar(count, dim, skip=20):
-    """Halton points one digit at a time, one entry at a time."""
+def halton_points_scalar(count, dim, skip=20, plain=8):
+    """Halton points one digit at a time, one entry at a time.  Past the first
+    `plain` coordinates each nonzero digit d is written as perm[d], where perm
+    is 0 followed by 1 + default_rng(base).permutation(base - 1)."""
     primes = [p for p in range(2, 400) if all(p % q for q in range(2, p))][:dim]
     out = np.empty((count, dim))
     for j, base in enumerate(primes):
+        perm = list(range(base))
+        if j >= plain:
+            perm = [0] + [1 + int(d) for d in np.random.default_rng(base).permutation(base - 1)]
         for i in range(count):
             n, f, r = i + skip, 1.0, 0.0
             while n > 0:
                 f /= base
-                r += f * (n % base)
+                r += f * perm[n % base]
                 n //= base
             out[i, j] = r
     return out
@@ -360,3 +365,13 @@ def dual_project_bisection(f, halfspaces, x, kkt_tol=1e-8, max_cycles=5000):
         if kkt <= kkt_tol:
             return z
     raise InfeasibleProjection(f"dual coordinate ascent stalled at KKT residual {kkt:.2e}")
+
+
+def spd_solve_dense(matrix, b):
+    """M^{-1} b by a plain LU solve of the whole matrix, one vector at a time."""
+    return np.linalg.solve(matrix, b)
+
+
+def spd_inv_norm_dense(matrix, w):
+    """||w||_{M^{-1}} = sqrt(<M^{-1} w, w>) through `spd_solve_dense`."""
+    return float(np.sqrt(np.dot(spd_solve_dense(matrix, w), w)))

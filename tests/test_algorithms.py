@@ -7,7 +7,7 @@ from proxlab import algorithms as alg
 from proxlab import checks
 from proxlab.errors import (ConfigError, DimensionMismatch, InfeasibleProjection,
                             SolverError, UpdateUndefined)
-from proxlab.legendre import CoshSum, QuadraticForm, bregman_distance, euclidean
+from proxlab.legendre import CoshSum, PowerEuclidean, QuadraticForm, bregman_distance, euclidean
 from proxlab.numerics import SpdMetric
 from proxlab.operators import Affine, SubdiffAbs, identity_op
 
@@ -227,6 +227,17 @@ def test_rs_under_cosh_geometry():
                     alg.StopRule(max_iters=500, zero_detect=1e-7))
     assert trace.converged
     assert abs(trace.final_x[0]) <= 1e-6
+
+
+def test_rs_keeps_small_cuts_in_power_geometry():
+    # in power:rho=4 geometry the operator cuts have ||a|| ~ |x|^3; a cut is
+    # degenerate only relative to its own gradient terms, so the cuts survive
+    # near the zero and the run does not creep at |x| ~ 2e-5
+    spec = alg.RunSpec(scheme="rs", x0=np.array([1.0]), f=PowerEuclidean(4.0, 1),
+                       ops=[SubdiffAbs(1.0, np.zeros(1)), identity_op(1)])
+    trace = alg.run(spec, alg.PerturbationPolicy.zero(), alg.StopRule(max_iters=80))
+    assert trace.converged and trace.iterations <= 70
+    assert abs(trace.final_x[0]) <= 1e-8
 
 
 def test_protoresolvent_sum_with_box_member():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from proxlab import checks
 from proxlab.errors import DimensionMismatch, NotSpd
-from oracles import halton_points_scalar
+from oracles import halton_points_scalar, spd_inv_norm_dense, spd_solve_dense
 from proxlab.numerics import (SpdMetric, as_vector, halton_points, pairing, random_spd_matrix,
                               row_dot, row_norm)
 
@@ -24,7 +25,7 @@ def test_pairing_symmetry_sampled():
     for _ in range(200):
         a = rng.standard_normal(4)
         b = rng.standard_normal(4)
-        assert pairing(a, b) == pytest.approx(pairing(b, a), rel=1e-14, abs=1e-14)
+        assert checks.pairing_asymmetry(a, b) <= 1e-14
 
 
 def test_metric_norm_values():
@@ -48,17 +49,14 @@ def test_spd_solve_roundtrip_sampled():
     for _ in range(500):
         dim = int(rng.integers(1, 9))
         m = SpdMetric(random_spd_matrix(dim, 0.2, 4.0, rng))
-        b = rng.standard_normal(dim)
-        x = m.solve(b)
-        assert np.linalg.norm(m.apply(x) - b) <= 1e-10 * (1.0 + np.linalg.norm(b))
+        assert checks.solve_roundtrip_residual(m, rng.standard_normal(dim)) <= 1e-10
 
 
 def test_metric_norm_matches_pairing():
     rng = np.random.default_rng(3)
     for _ in range(200):
         m = SpdMetric(random_spd_matrix(3, 0.5, 2.0, rng))
-        w = rng.standard_normal(3)
-        assert m.norm(w) ** 2 == pytest.approx(pairing(m.apply(w), w), rel=1e-12, abs=1e-12)
+        assert checks.metric_norm_gap(m, rng.standard_normal(3)) <= 1e-12
 
 
 def test_spd_rejects_bad_matrices():
@@ -97,6 +95,16 @@ def test_halton_matches_scalar_digit_expansion(count, dim):
     assert np.array_equal(halton_points(count, dim), halton_points_scalar(count, dim))
 
 
+def test_halton_covers_every_coordinate():
+    # the witness grid of enlargement_residual at dim 64: plain Halton leaves
+    # coordinate 63 inside [0.064, 0.884] and 24 pairs above |r| = 0.9
+    points = halton_points(256, 64)
+    assert np.all(points.max(axis=0) - points.min(axis=0) >= 0.9)
+    corr = np.corrcoef(points.T)
+    np.fill_diagonal(corr, 0.0)
+    assert np.max(np.abs(corr)) < 0.3
+
+
 @pytest.mark.parametrize("matrix, identity, diagonal", [
     (np.eye(3), True, True),
     (np.diag([1.0, 2.0, 3.0]), False, True),
@@ -110,6 +118,36 @@ def test_metric_structure_flags(matrix, identity, diagonal):
     assert vars(m)["is_identity"] is identity and vars(m)["is_diagonal"] is diagonal
     assert m.is_identity == bool(np.array_equal(m.matrix, np.eye(3)))
     assert m.is_diagonal == bool(np.count_nonzero(m.matrix - np.diag(np.diagonal(m.matrix))) == 0)
+
+
+@pytest.mark.parametrize("ratio", [4.0, 1e3, 1e6])
+@pytest.mark.parametrize("dim", [1, 2, 8, 64])
+def test_metric_solves_match_dense_solve(dim, ratio):
+    # solve and inv_norm run through the cached inverse factor; a plain LU
+    # solve of M agrees to a few ulps times the condition number
+    rng = np.random.default_rng(dim)
+    eps = np.finfo(float).eps
+    for _ in range(4):
+        m = SpdMetric(random_spd_matrix(dim, 1.0, ratio, rng))
+        kappa = np.linalg.cond(m.matrix)
+        for b in rng.standard_normal((5, dim)):
+            ref = spd_solve_dense(m.matrix, b)
+            assert np.linalg.norm(m.solve(b) - ref) <= 8.0 * kappa * eps * np.linalg.norm(ref)
+            ref_sq = spd_inv_norm_dense(m.matrix, b) ** 2
+            assert abs(m.inv_norm(b) ** 2 - ref_sq) <= 8.0 * kappa * eps * ref_sq
+
+
+def test_metric_inverse_factor_is_lazy_and_read_only():
+    m = SpdMetric(random_spd_matrix(4, 0.5, 2.0, np.random.default_rng(5)))
+    assert "inv_chol" not in vars(m) and "inverse" not in vars(m)  # nothing computed up front
+    m.solve(np.ones(4))
+    assert vars(m)["inv_chol"] is m.inv_chol and "inverse" not in vars(m)
+    assert np.array_equal(np.tril(m.inv_chol), m.inv_chol)
+    assert np.array_equal(m.inverse, m.inverse.T)
+    for cached in (m.inv_chol, m.inverse):
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 0] = 1.0
 
 
 def test_metric_rows_match_single_vectors():
