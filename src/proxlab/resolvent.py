@@ -382,6 +382,16 @@ def pls_form(sigma, c, metric) -> StronglyImplicitSpec:
 
 
 DEFAULT_MAGNITUDES = (0.999, 0.75, 0.5, 0.25, 0.05)
+# rows per radius-search pass when a closed form solves the levels: a pass
+# costs mostly numpy's fixed per-call overhead up to about this size, so a
+# 10-row 1-D level shares its pass with 14 others and an 80-row level has one
+_PASS_ROWS = 160
+
+
+def _subtree_depth(rows):
+    """The depth k whose 2^k - 1 levels of `rows` rows fit in _PASS_ROWS
+    rows, at least 1: k = floor(log2(_PASS_ROWS / rows + 1))."""
+    return max(1, (_PASS_ROWS // rows + 1).bit_length() - 1)
 
 
 def radius_search(f, op, lam, x, spec: StronglyImplicitSpec, probes=64, halving_depth=40,
@@ -390,14 +400,23 @@ def radius_search(f, op, lam, x, spec: StronglyImplicitSpec, probes=64, halving_
     solves the inclusion system with Phi < Psi strictly.
 
     Certified by sampling only: the halving schedule from 1 + ||x|| finds the
-    first passing level and a bisection sharpens the pass/fail boundary.  Each
+    first passing level and a bisection sharpens the pass/fail boundary.  A
     level solves, certifies, verifies and scores its probes x magnitudes rows
-    in one batched pass and fails at its first failing row in probe order; if that row failed
-    its certificate, the row's SolverError is raised.  Returns 0.0 when the
+    and fails at its first failing row in probe order; if that row failed its
+    certificate, the row's SolverError is raised.  Returns 0.0 when the
     budget is exhausted without a passing level.  In more than one
     dimension the probed directions cannot cover the sphere, so the result may
     overestimate the true uniform radius; probes are drawn over the whole
     space (no smaller open neighbourhood is modelled).
+
+    When a closed form solves the pairing, one pass solves the rows of
+    W = 2^k - 1 levels (k from _subtree_depth): the next W halvings, or every
+    midpoint of the next k bisection steps, each from its own bracket.  The
+    sequential path is then replayed through them, and only a level on that
+    path can raise.  Each row keeps the bits of the single-vector call, so
+    the path and the returned radius do not depend on W.  Newton solves rows
+    one at a time and the multisection pays per row, so their levels keep
+    W = 1, one pass per level.
     """
     _check_pairing(f, op, lam)
     x = as_vector(x, f.dim)
@@ -418,36 +437,64 @@ def radius_search(f, op, lam, x, spec: StronglyImplicitSpec, probes=64, halving_
     directions = np.array(unit_directions(probes, f.dim, seed))
     scales = np.asarray(magnitudes, dtype=float)
     solve = _solver(f, op, lam)
+    rows = len(directions) * len(scales)
+    depth = _subtree_depth(rows) if _closed_form(f, op, lam) is not None else 1
 
-    def level_passes(r):
-        # rows are direction-major, magnitude-minor: the probe order
-        eta = ((scales * r)[None, :, None] * directions[:, None, :]).reshape(-1, f.dim)
+    def evaluate(radii):
+        """Per radius, in one pass: True if its level passes, else the w of
+        the level's first failing row when that row failed its certificate,
+        else False."""
+        # rows are radius-major, then direction-major, magnitude-minor: the probe order
+        eta = (np.multiply.outer(radii, scales)[:, None, :, None]
+               * directions[:, None, :]).reshape(-1, f.dim)
         w = lam * eta + gx
         y, certified = _certified_rows(solve, f, op, lam, w)
         xi = eta - (f.gradient(y) - gx) / lam
         ok = certified & _verify(f, op, lam, eta, gx, y, xi).passed & (spec.gap(eta, xi, x, y) < 0.0)
-        if ok.all():
-            return True
-        j = int(np.argmin(ok))  # the first failing row
-        if not certified[j]:
-            _protoresolvent(f, op, lam, w[j])  # raises this row's error
-        return False
+        results = []
+        for start in range(0, len(w), rows):
+            j = start + int(np.argmin(ok[start:start + rows]))  # the level's first failing row
+            results.append(bool(ok[j]) or (False if certified[j] else w[j]))
+        return results
+
+    def passes(result):
+        """A level's result on the search path, where a certificate failure raises."""
+        if isinstance(result, np.ndarray):
+            _protoresolvent(f, op, lam, result)  # raises this row's error
+            return False
+        return result
 
     r = 1.0 + float(np.linalg.norm(x))
     level = 0
-    while level < halving_depth and not level_passes(r):
-        r *= 0.5
-        level += 1
+    while level < halving_depth:
+        radii = [r]
+        while len(radii) < min(2 ** depth - 1, halving_depth - level):
+            radii.append(0.5 * radii[-1])
+        passing = next((j for j, result in enumerate(evaluate(radii)) if passes(result)), None)
+        if passing is not None:
+            r, level = radii[passing], level + passing
+            break
+        r, level = 0.5 * radii[-1], level + len(radii)
     if level == halving_depth:
         return 0.0
     if level == 0:
         return r
 
     lo, hi = r, 2.0 * r
-    for _ in range(refine_depth):
-        mid = 0.5 * (lo + hi)
-        if level_passes(mid):
-            lo = mid
-        else:
-            hi = mid
+    for done in range(0, refine_depth, depth):
+        k = min(depth, refine_depth - done)
+        # the subtree's midpoints in heap order: node i's bracket splits into
+        # node 2i + 1's when mid i fails and node 2i + 2's when it passes
+        brackets, mids = [(lo, hi)], []
+        while len(mids) < 2 ** k - 1:
+            a, b = brackets[len(mids)]
+            mids.append(0.5 * (a + b))
+            brackets += [(a, mids[-1]), (mids[-1], b)]
+        results = evaluate(mids)
+        node = 0
+        for _ in range(k):
+            if passes(results[node]):
+                lo, node = mids[node], 2 * node + 2
+            else:
+                hi, node = mids[node], 2 * node + 1
     return lo

@@ -50,6 +50,14 @@ def test_radius_command(capsys):
     assert 0.45 <= r <= 0.55
 
 
+@pytest.mark.parametrize("x, directions", [("2", 2), ("1,-2", 64)])
+def test_radius_reports_the_directions_searched(capsys, x, directions):
+    # in 1-D the probe set is the two signs, whatever --probes asks for
+    code, out, _ = run_cli(capsys, "radius", "--op", "abs:w=1,shift=0", "--x", x, "--form", "ss")
+    assert code == 0
+    assert f"probes = {directions} directions x 5 magnitudes" in out.splitlines()[1]
+
+
 def test_radius_at_zero_exits_3(capsys):
     code, _, err = run_cli(capsys, "radius", "--op", "abs:w=1", "--lam", "1",
                            "--x", "0", "--form", "ss", "--sigma", "0.5")

@@ -37,6 +37,12 @@ CONFIGS = {
         "scheme_params": {"sigma": 0.5, "mu": {"kind": "constant", "value": 1.0}},
         "policy": {"kind": "radius_fraction", "fraction": 0.5}, "stop": STOP, "seed": 1,
     },
+    "ss_radius_fraction_2d": {
+        "space_dim": 2, "scheme": "ss", "x0": [2.0, -1.0], "operator": "abs:w=1,shift=0.5",
+        "scheme_params": {"sigma": 0.5, "mu": {"kind": "constant", "value": 1.0},
+                          "radius_probes": 2},
+        "policy": {"kind": "radius_fraction", "fraction": 0.5}, "stop": STOP, "seed": 10,
+    },
     "ss_constant_norm_2d": {
         "space_dim": 2, "scheme": "ss", "x0": [1.0, -2.0], "operator": "affine:diag=1,2,b=-1,0",
         "scheme_params": {"sigma": 0.4, "radius_probes": 8},
@@ -93,7 +99,9 @@ CONFIGS = {
 # eckstein_power3_summable_1d, the one power-geometry trace, was recorded
 # while PowerEuclidean still had its own formulas; pls_random_spd_summable_2d
 # re-pinned when metric solves moved to the cached inverse Cholesky factor
-# (same 20 iterations and exit code, iterates within 2.3e-16 absolute)
+# (same 20 iterations and exit code, iterates within 2.3e-16 absolute);
+# ss_radius_fraction_2d, whose 10-row levels share radius-search passes, was
+# recorded while every level still had a pass of its own
 EXPECTED = {
     "eckstein_cosh_constant_norm_geometric": (0, "286cbd4f7cf8b9c7c5399e5ba6ec2bda50630d45f3b09d9bafc0ea02d8b58ef7"),
     "eckstein_power3_summable_1d": (0, "0251a05a20219a19d32948d93ac0e0e444a6bb7ff448aa19aa1fdd23f3a56308"),
@@ -106,6 +114,7 @@ EXPECTED = {
     "rs_euclidean_common_zero_summable": (4, "c2903ca4d8969eddafe4cac362634254e8d3e1ca43f1b1338b70cc0a70bc4584"),
     "ss_constant_norm_2d": (0, "f783d42f6f9a0ee75b7d53c8789e9a3dae8ec4c88592bfd23452b31a1d1ab2ef"),
     "ss_radius_fraction_1d": (0, "d2514ad6bfdf2c23a755ee90049ffcbb534d53bf494a41405afeed5d0fef98be"),
+    "ss_radius_fraction_2d": (0, "e353d27c287460bff4999830f3b7ff2d69ee5964216ee068f1f3f2819460682f"),
 }
 
 
