@@ -6,15 +6,18 @@ supplied perturbation (Reject), and detects the scheme's stop clause
 (Terminate).  One run loop drives all five schemes through small per-scheme
 adapters.  It draws the perturbation (scaled by the sampled acceptance radius
 under the radius_fraction policy), halves draws that violate a relative
-condition up to 60 times and then replaces them by zero, which is always
-accepted, takes the step and records one row per step.  A Terminate step is
-recorded as a step to y: only the stop residual at the new iterate ends a run
-as converged.
+condition up to 59 times and then replaces them by zero, which is always
+accepted, takes the step and records one row per step.  When a closed form
+solves the step's inclusion, the halvings are scored as the rows of one or
+two batched passes, each row with the bits of its single step, so the trace
+does not depend on the batching.  A Terminate step is recorded as a step to
+y: only the stop residual at the new iterate ends a run as converged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,8 +26,8 @@ from .errors import (ConfigError, DimensionMismatch, InfeasibleProjection, Solve
 from .legendre import LegendreFn, QuadraticForm, euclidean
 from .numerics import SpdMetric, as_vector, pairing, random_spd_matrix, require_finite
 from .operators import MonotoneOp
-from .resolvent import (_check_pairing, _protoresolvent, _solve, _zero_residual, ips_form,
-                        pls_form, protoresolvent, radius_search, ss_form)
+from .resolvent import (_certified_rows, _certify, _check_pairing, _protoresolvent, _route, _solve,
+                        _zero_residual, ips_form, pls_form, protoresolvent, radius_search, ss_form)
 
 SCHEMES = ("eckstein", "ss", "ips", "pls", "rs")
 
@@ -225,6 +228,53 @@ def eckstein_step(f: LegendreFn, op: MonotoneOp, lam: float, x, eta_next):
     return protoresolvent(f, op, lam, eta_next + f.gradient(x))
 
 
+class _Step:
+    """A relative-error step at one iterate.  Its trial solves w(eta) in
+    grad f(y) + lam A(y), and score(eta, y) gives xi and whether the
+    scheme's form rejects eta; accept(eta, y, xi) finishes an error the form
+    does not reject.  The trial takes one error, or in `scan` the rows of a
+    stack of errors, each row with the bits of the single error.  The
+    pairing is routed once, on first use.  The run loop calls the step with
+    one error row per operator (ss, ips and pls have one)."""
+
+    def __init__(self, f, op, lam, w, score, accept):
+        self.f, self.op, self.lam, self.w, self.score, self.accept = f, op, lam, w, score, accept
+
+    @cached_property
+    def route(self):
+        return _route(self.f, self.op, self.lam)
+
+    @property
+    def batches(self):
+        """Whether a closed form routes the pairing, so that a pass over many
+        errors costs about what one costs."""
+        return self.route[1]
+
+    def step(self, eta):
+        """The step for one error; a failed certificate raises SolverError."""
+        w = self.w(eta)
+        y = _certify(self.f, self.op, self.lam, w, self.route[0](w))[0]
+        xi, reject = self.score(eta, y)
+        return StepResult(status="reject", y=y, xi=xi) if reject else self.accept(eta, y, xi)
+
+    def __call__(self, etas):
+        return self.step(etas[0])
+
+    def scan(self, candidates):
+        """(j, result) over the (k, 1, dim) candidates: row j is the first
+        that the form does not reject or whose certificate fails, and result
+        is the step at row j if the form accepts it, else None; j = k when
+        every row is rejected."""
+        etas = candidates[:, 0]
+        y, certified, *_ = _certified_rows(self.route[0], self.f, self.op, self.lam, self.w(etas))
+        xi, reject = self.score(etas, y)
+        stops = ~(reject & certified)
+        if not stops.any():
+            return len(etas), None
+        j = int(np.argmax(stops))
+        return j, self.accept(etas[j], y[j], xi[j]) if certified[j] else None
+
+
 def ss_step(op: MonotoneOp, mu: float, sigma: float, x, eta,
             zero_detect: float = StopRule.zero_detect) -> StepResult:
     """Hybrid projection step: prox at x - eta/mu, then project onto the cut."""
@@ -234,26 +284,30 @@ def ss_step(op: MonotoneOp, mu: float, sigma: float, x, eta,
         raise ValueError("sigma must be nonnegative")
     if not 0.0 < zero_detect < np.inf:
         raise ValueError("zero_detect must be positive and finite")
-    return _ss_step(op, mu, sigma, as_vector(x, op.dim), as_vector(eta, op.dim), zero_detect)
+    return _ss_step(op, mu, sigma, as_vector(x, op.dim), zero_detect).step(as_vector(eta, op.dim))
 
 
-def _ss_step(op, mu, sigma, x, eta, zero_detect):
-    y = _protoresolvent(euclidean(op.dim), op, 1.0 / mu, x - eta / mu)
-    xi = -eta - mu * (y - x)
-    if ss_form(sigma, mu).gap(eta, xi, x, y) > 0.0:
-        return StepResult(status="reject", y=y, xi=xi)
+def _ss_step(op, mu, sigma, x, zero_detect):
+    form = ss_form(sigma, mu)
 
-    xi_norm = float(np.linalg.norm(xi))
-    if float(np.linalg.norm(y - x)) <= zero_detect:  # a zero only if the stop residual passes
-        return StepResult(status="terminate", y=y, xi=xi,
-                          certified_zero=_stop_residual([op], y) <= zero_detect)
-    if xi_norm <= zero_detect:
-        if sigma >= 1.0:
-            raise UpdateUndefined("update undefined: xi vanished away from the iterate with sigma >= 1")
-        return StepResult(status="terminate", y=y, xi=xi, certified_zero=True)
+    def score(eta, y):
+        xi = -eta - mu * (y - x)
+        return xi, form.gap(eta, xi, x, y) > 0.0
 
-    x_next = x - (pairing(xi, x - y) / xi_norm ** 2) * xi
-    return StepResult(status="accepted", y=y, xi=xi, x_next=x_next)
+    def accept(eta, y, xi):
+        xi_norm = float(np.linalg.norm(xi))
+        if float(np.linalg.norm(y - x)) <= zero_detect:  # a zero only if the stop residual passes
+            return StepResult(status="terminate", y=y, xi=xi,
+                              certified_zero=_stop_residual([op], y) <= zero_detect)
+        if xi_norm <= zero_detect:
+            if sigma >= 1.0:
+                raise UpdateUndefined("update undefined: xi vanished away from the iterate with sigma >= 1")
+            return StepResult(status="terminate", y=y, xi=xi, certified_zero=True)
+
+        x_next = x - (pairing(xi, x - y) / xi_norm ** 2) * xi
+        return StepResult(status="accepted", y=y, xi=xi, x_next=x_next)
+
+    return _Step(euclidean(op.dim), op, 1.0 / mu, lambda eta: x - eta / mu, score, accept)
 
 
 def ips_nu(sigma: float, rho: float, lam_hat: float) -> float:
@@ -279,15 +333,20 @@ def ips_step(op: MonotoneOp, lam: float, nu: float, x, eta) -> StepResult:
         raise ValueError("lam must be positive")
     if not 0.0 <= nu < np.inf:
         raise ValueError("nu must be nonnegative and finite")
-    return _ips_step(op, lam, nu, as_vector(x, op.dim), as_vector(eta, op.dim))
+    return _ips_step(op, lam, nu, as_vector(x, op.dim)).step(as_vector(eta, op.dim))
 
 
-def _ips_step(op, lam, nu, x, eta):
-    y = _protoresolvent(euclidean(op.dim), op, lam, x + eta)
-    xi = (eta - (y - x)) / lam
-    if ips_form(nu, lam).gap(eta / lam, xi, x, y) > 0.0:  # the form scores the inclusion's error
-        return StepResult(status="reject", y=y)
-    return StepResult(status="accepted", y=y, xi=xi, x_next=y - eta)
+def _ips_step(op, lam, nu, x):
+    form = ips_form(nu, lam)
+
+    def score(eta, y):
+        xi = (eta - (y - x)) / lam
+        return xi, form.gap(eta / lam, xi, x, y) > 0.0  # the form scores the inclusion's error
+
+    def accept(eta, y, xi):
+        return StepResult(status="accepted", y=y, xi=xi, x_next=y - eta)
+
+    return _Step(euclidean(op.dim), op, lam, lambda eta: x + eta, score, accept)
 
 
 def pls_step(op: MonotoneOp, c: float, metric: SpdMetric, sigma: float, tau: float,
@@ -302,7 +361,7 @@ def pls_step(op: MonotoneOp, c: float, metric: SpdMetric, sigma: float, tau: flo
     if not 0.0 < zero_detect < np.inf:
         raise ValueError("zero_detect must be positive and finite")
     return _pls_step(op, c, metric, _pls_geometry(metric), sigma, tau, as_vector(x, op.dim),
-                     as_vector(eta, op.dim), zero_detect)
+                     zero_detect).step(as_vector(eta, op.dim))
 
 
 def _pls_geometry(metric):
@@ -310,22 +369,26 @@ def _pls_geometry(metric):
     return QuadraticForm(SpdMetric(np.linalg.inv(metric.matrix)))
 
 
-def _pls_step(op, c, metric, f, sigma, tau, x, eta, zero_detect):
-    y = _protoresolvent(f, op, c, metric.solve(x + eta))
-    xi = metric.solve(eta - (y - x)) / c
-    if pls_form(sigma, c, metric).gap(eta, xi, x, y) > 0.0:
-        return StepResult(status="reject", y=y, xi=xi)
+def _pls_step(op, c, metric, f, sigma, tau, x, zero_detect):
+    form = pls_form(sigma, c, metric)
 
-    if float(np.linalg.norm(y - x)) <= zero_detect:
-        return StepResult(status="terminate", y=y, xi=xi,
-                          certified_zero=_stop_residual([op], y) <= zero_detect)
+    def score(eta, y):
+        xi = metric.solve(eta - (y - x)) / c
+        return xi, form.gap(eta, xi, x, y) > 0.0
 
-    denom = pairing(xi, metric.apply(xi))
-    if denom <= 0.0:
-        raise UpdateUndefined("update undefined: M xi vanished away from the iterate")
-    a = pairing(xi, x - y) / denom
-    x_next = x - tau * a * metric.apply(xi)
-    return StepResult(status="accepted", y=y, xi=xi, x_next=x_next)
+    def accept(eta, y, xi):  # the record keeps the step's metric
+        if float(np.linalg.norm(y - x)) <= zero_detect:
+            return StepResult(status="terminate", y=y, xi=xi, extra={"metric": metric},
+                              certified_zero=_stop_residual([op], y) <= zero_detect)
+
+        denom = pairing(xi, metric.apply(xi))
+        if denom <= 0.0:
+            raise UpdateUndefined("update undefined: M xi vanished away from the iterate")
+        a = pairing(xi, x - y) / denom
+        x_next = x - tau * a * metric.apply(xi)
+        return StepResult(status="accepted", y=y, xi=xi, x_next=x_next, extra={"metric": metric})
+
+    return _Step(f, op, c, lambda eta: metric.solve(x + eta), score, accept)
 
 
 #  Bregman projection onto an intersection of halfspaces
@@ -599,18 +662,45 @@ def _subspace_projector(z_basis):
     return q @ q.T
 
 
-def _shrink_until_accepted(step_fn, eta, max_shrink=60):
+def _shrink_until_accepted(step_fn, eta, max_shrink=60, expect=0):
+    """Try eta, then halve it until the step accepts, at most max_shrink - 1
+    times, then fall back to the zero error: (result, error, shrinks).
+
+    A step whose pairing batches scores these errors as the rows of at most
+    two passes and takes the first row it does not reject, which is where
+    the one-at-a-time loop stops: each row is the loop's 0.5 * current, with
+    the single call's bits.  `expect` is the previous iteration's count, and
+    streaks drift slowly along a run: the first pass holds the errors up to
+    two halvings past it, and the second the rest.  After a streak of 0 the
+    drawn error is tried alone first, as the loop tries it, since a pass
+    costs more than one error.  From a row whose certificate failed on,
+    errors go one at a time again, so that row raises the single step's
+    error.
+    """
     current = np.array(eta)
-    for attempts in range(max_shrink):
+    batches = getattr(step_fn, "batches", False)
+    first = 0
+    if not (batches and expect):
         result = step_fn(current)
         if result.status != "reject":
-            return result, current, attempts
-        current = 0.5 * current
-    current = np.zeros_like(current)
-    result = step_fn(current)
-    if result.status == "reject":
-        raise SolverError("the step rejects even the zero error")
-    return result, current, max_shrink
+            return result, current, 0
+        first = 1
+    # row k holds the error after k halvings, the last row the zero error
+    halves = np.concatenate([current[None], np.full((max_shrink - 1, *current.shape), 0.5)])
+    candidates = np.concatenate([np.multiply.accumulate(halves), np.zeros((1, *current.shape))])
+    if batches:
+        for stop in sorted({min(expect + 3, max_shrink + 1), max_shrink + 1}):
+            j, result = step_fn.scan(candidates[first:stop])
+            if result is not None:
+                return result, candidates[first + j], first + j
+            first += j
+            if first < stop:  # that row failed its certificate
+                break
+    for k in range(first, max_shrink + 1):
+        result = step_fn(candidates[k])
+        if result.status != "reject":
+            return result, candidates[k], k
+    raise SolverError("the step rejects even the zero error")
 
 
 #  per-scheme adapters.  For iteration n at x each returns the step parameter,
@@ -633,13 +723,13 @@ def _eckstein(spec, stop, n, x):
 def _ss(spec, stop, n, x):
     mu = spec.mu.at(n)
     return (mu, lambda: (euclidean(spec.dim), 1.0 / mu, ss_form(spec.sigma, mu), 1.0),
-            lambda etas: _ss_step(spec.op, mu, spec.sigma, x, etas[0], stop.zero_detect))
+            _ss_step(spec.op, mu, spec.sigma, x, stop.zero_detect))
 
 
 def _ips(spec, stop, n, x):
     lam = spec.lam.at(n)
     return (lam, lambda: (euclidean(spec.dim), lam, ips_form(spec.nu, lam), lam),
-            lambda etas: _ips_step(spec.op, lam, spec.nu, x, etas[0]))
+            _ips_step(spec.op, lam, spec.nu, x))
 
 
 def _pls(spec, stop, n, x):
@@ -651,12 +741,8 @@ def _pls(spec, stop, n, x):
         scale = c * float(np.min(np.linalg.eigvalsh(metric.matrix)))
         return f_n, c, pls_form(spec.sigma, c, metric), scale
 
-    def step(etas):
-        result = _pls_step(spec.op, c, metric, f_n, spec.sigma, spec.tau, x, etas[0],
-                           stop.zero_detect)
-        result.extra["metric"] = metric
-        return result
-    return c, radius_args, step
+    return c, radius_args, _pls_step(spec.op, c, metric, f_n, spec.sigma, spec.tau, x,
+                                     stop.zero_detect)
 
 
 def _rs(spec, stop, n, x):
@@ -699,7 +785,7 @@ def _iterate(spec, policy, stop, trace, x):
     """One loop for every scheme: draw, shrink, step, stop."""
     adapter = _ADAPTERS[spec.scheme]
     projector = _subspace_projector(spec.z_basis) if spec.scheme == "ips" else None
-    running_sum = 0.0
+    running_sum, shrinks = 0.0, 0
     for n in range(stop.max_iters):
         row = n + 1
         param, radius_args, step = adapter(spec, stop, n, x)
@@ -716,7 +802,7 @@ def _iterate(spec, policy, stop, trace, x):
                 for i in range(len(spec.all_ops))]
         if projector is not None:
             etas = [projector @ e for e in etas]
-        result, etas, shrinks = _shrink_until_accepted(step, etas)
+        result, etas, shrinks = _shrink_until_accepted(step, etas, expect=shrinks)
         if shrinks:
             note += f"shrunk:{shrinks}"
         if result.status == "terminate":

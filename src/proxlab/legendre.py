@@ -209,17 +209,22 @@ def _norm(x, p):
 def _radial(v, p, exponent):
     """N^exponent sign(v) (|v| / N)^(p-1) with N = ||v||_p, and 0 in each
     zero coordinate (where an overflowed N^exponent would give inf * 0): the
-    power kinds' gradients and inverses, with no power that overflows before
-    the result does."""
+    power kinds' gradients and inverses, with no power that overflows or
+    underflows before the result does."""
     v = np.asarray(v, dtype=float)
     n = _norm(v, p)
+    nonzero = v != 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(v != 0.0, n ** exponent * (np.sign(v) * (np.abs(v) / n) ** (p - 1.0)), 0.0)
-        if not np.isfinite(out).all():
-            # N^exponent (or N) overflowed before the entry did, and inf * 0 or
-            # inf * (|v_i| / N)^(p-1) stands where the entry may be finite: take
-            # those entries in log form, with log N = log top + log ||v / top||_p
-            bad = ~np.isfinite(out) & (v != 0.0)
+        ratio = np.abs(v) / n
+        factor = ratio ** (p - 1.0)
+        out = np.where(nonzero, n ** exponent * (np.sign(v) * factor), 0.0)
+        # N^exponent (or N) overflowed before the entry did, or |v_i| / N or
+        # its power (the smaller one, as |v_i| / N <= 1) fell below the normal
+        # doubles, losing bits or all of them, where the entry may not: take
+        # those entries in log form, with log N = log top + log ||v / top||_p
+        small = (factor if p >= 2.0 else ratio) < _TINY
+        bad = nonzero & (small | ~np.isfinite(out))
+        if bad.any():
             top = np.maximum.reduce(np.abs(v), axis=-1, keepdims=True)
             log_n = np.broadcast_to(np.log(top) + np.log(_norm(v / top, p)), v.shape)[bad]
             log_v = np.log(np.abs(v[bad]))

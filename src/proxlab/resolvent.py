@@ -156,20 +156,20 @@ def _solve_newton(f, op, lam, w):
 
 
 def _certificate(f, op, lam, w, y):
-    """y clamped to the domain, its value box, the residual
+    """y clamped to the domain, its value box, grad f(y), the residual
     ||grad f(y) + lam xi_hat - w|| (xi_hat the selection nearest
     (w - grad f(y)) / lam) and the bound it must meet; per row for rows."""
     y = op._clamp_to_domain(y)
     box = op.value_box(y)
     gy = f.gradient(y)
     residual = row_norm(gy + lam * box.nearest((w - gy) / lam) - w)
-    return y, box, residual, INNER_RTOL * (1.0 + row_norm(w))
+    return y, box, gy, residual, INNER_RTOL * (1.0 + row_norm(w))
 
 
 def _certify(f, op, lam, w, y):
     """(y, residual) for one vector, or SolverError if the certificate fails."""
     try:
-        y, _, residual, bound = _certificate(f, op, lam, w, y)
+        y, _, _, residual, bound = _certificate(f, op, lam, w, y)
     except EmptyOperatorValue as exc:
         raise SolverError(f"solution left the operator domain: {exc}", residual=np.inf)
     if not residual <= bound:
@@ -187,7 +187,7 @@ def protoresolvent(f: LegendreFn, op: MonotoneOp, lam: float, w):
 
 
 def _protoresolvent(f, op, lam, w):
-    return _certify(f, op, lam, w, _solver(f, op, lam)(w))[0]
+    return _certify(f, op, lam, w, _route(f, op, lam)[0](w))[0]
 
 
 def _zero_residual(f, op, lam, x):
@@ -236,15 +236,17 @@ def _closed_form(f, op, lam):
     return None
 
 
-def _solver(f, op, lam):
-    """w -> y, over one vector or the rows of a (k, dim) array, for the first
-    strategy that fits the pairing; each row gets the bits of the
-    single-vector call, and the caller certifies y.  Newton solves rows one
-    at a time and leaves a row whose solve raises SolverError NaN, so that
-    the row fails its certificate."""
+def _route(f, op, lam):
+    """(solve, batches) for the first strategy that fits the pairing.  solve
+    maps w -> y over one vector or the rows of a (k, dim) array, each row
+    with the bits of the single-vector call, and the caller certifies y.
+    batches is True for a closed form, whose pass over many rows costs about
+    what one row costs.  Newton solves rows one at a time and leaves a row
+    whose solve raises SolverError NaN, so that the row fails its
+    certificate; the multisection pays per row."""
     closed = _closed_form(f, op, lam)
     if closed is not None:
-        return closed
+        return closed, True
 
     if isinstance(f, QuadraticForm) and f.is_identity and op.smooth_gradient() is not None:
         def newton(w):
@@ -255,10 +257,10 @@ def _solver(f, op, lam):
                 with suppress(SolverError):
                     y[j] = _solve_newton(f, op, lam, row)
             return y
-        return newton
+        return newton, False
 
     if f.separable and op.separable:
-        return lambda w: _solve_separable(f, op, lam, w)
+        return (lambda w: _solve_separable(f, op, lam, w)), False
 
     raise NoStrategy(
         f"no solver strategy for f={f.spec_string()} with A={op.spec_string()} in dim {f.dim}"
@@ -272,7 +274,7 @@ def solve_inclusion(inst: InclusionInstance) -> InclusionSolution:
 
 def _solve(f, op, lam, eta, gx):
     w = lam * eta + gx  # gx = grad f(x)
-    y, residual = _certify(f, op, lam, w, _solver(f, op, lam)(w))
+    y, residual = _certify(f, op, lam, w, _route(f, op, lam)[0](w))
     xi = eta - (f.gradient(y) - gx) / lam
     return InclusionSolution(y=y, xi=xi, inner_residual=residual)
 
@@ -284,12 +286,18 @@ def verify_solution(inst: InclusionInstance, y, xi) -> VerificationReport:
 
 
 def _verify(f, op, lam, eta, gx, y, xi):
-    """The report for one candidate, or a report of per-row arrays for rows."""
+    """The report for one candidate."""
     try:
         membership = op.membership_residual(y, xi)
     except EmptyOperatorValue:
         membership = np.inf
-    linear = row_norm(eta - xi - (f.gradient(y) - gx) / lam)
+    return _report(lam, eta, gx, xi, membership, f.gradient(y))
+
+
+def _report(lam, eta, gx, xi, membership, gy):
+    """The report from xi's distance to A(y) and gy = grad f(y), or a report
+    of per-row arrays for rows."""
+    linear = row_norm(eta - xi - (gy - gx) / lam)
     return VerificationReport(
         membership_residual=membership,
         linear_residual=linear,
@@ -310,7 +318,7 @@ def holder_certify(f, op, lam, rho, beta, samples=10_000, seed=0):
     # one row per w, pair-major: the stream order of drawing w1 then w2 per pair
     w = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(samples, 2, f.dim))
     rows = w.reshape(-1, f.dim)
-    y, certified = _certified_rows(_solver(f, op, lam), f, op, lam, rows)
+    y, certified, *_ = _certified_rows(_route(f, op, lam)[0], f, op, lam, rows)
     if not certified.all():
         _protoresolvent(f, op, lam, rows[np.argmin(certified)])  # raises that row's error
     y = y.reshape(w.shape)
@@ -327,10 +335,10 @@ def holder_certify(f, op, lam, rho, beta, samples=10_000, seed=0):
 
 
 def _certified_rows(solve, f, op, lam, w):
-    """y = solve(w) for each row of w, clamped to the domain, and the mask of
-    the rows whose residual certificate holds."""
-    y, box, residual, bound = _certificate(f, op, lam, w, solve(w))
-    return y, ~box.empty & (residual <= bound)
+    """y = solve(w) for each row of w, clamped to the domain, the mask of
+    the rows whose residual certificate holds, and A(y)'s box and grad f(y)."""
+    y, box, gy, residual, bound = _certificate(f, op, lam, w, solve(w))
+    return y, np.logical_not(box.empty) & (residual <= bound), box, gy
 
 
 #  strongly implicit score forms
@@ -426,7 +434,8 @@ def radius_search(f, op, lam, x, spec: StronglyImplicitSpec, probes=64, halving_
         raise ValueError("magnitudes must be a non-empty sequence in (0, 1]")
     gx = require_finite(f.gradient(x), "grad f(x)")
 
-    y0 = _protoresolvent(f, op, lam, gx)
+    solve, batches = _route(f, op, lam)
+    y0 = _certify(f, op, lam, gx, solve(gx))[0]
     xi0 = -(f.gradient(y0) - gx) / lam
     theta0 = -spec.gap(np.zeros(f.dim), xi0, x, y0)
     if not theta0 > 0.0:
@@ -436,9 +445,8 @@ def radius_search(f, op, lam, x, spec: StronglyImplicitSpec, probes=64, halving_
 
     directions = np.array(unit_directions(probes, f.dim, seed))
     scales = np.asarray(magnitudes, dtype=float)
-    solve = _solver(f, op, lam)
     rows = len(directions) * len(scales)
-    depth = _subtree_depth(rows) if _closed_form(f, op, lam) is not None else 1
+    depth = _subtree_depth(rows) if batches else 1
 
     def evaluate(radii):
         """Per radius, in one pass: True if its level passes, else the w of
@@ -448,9 +456,10 @@ def radius_search(f, op, lam, x, spec: StronglyImplicitSpec, probes=64, halving_
         eta = (np.multiply.outer(radii, scales)[:, None, :, None]
                * directions[:, None, :]).reshape(-1, f.dim)
         w = lam * eta + gx
-        y, certified = _certified_rows(solve, f, op, lam, w)
-        xi = eta - (f.gradient(y) - gx) / lam
-        ok = certified & _verify(f, op, lam, eta, gx, y, xi).passed & (spec.gap(eta, xi, x, y) < 0.0)
+        y, certified, box, gy = _certified_rows(solve, f, op, lam, w)
+        xi = eta - (gy - gx) / lam
+        report = _report(lam, eta, gx, xi, box.distance(xi), gy)
+        ok = certified & report.passed & (spec.gap(eta, xi, x, y) < 0.0)
         results = []
         for start in range(0, len(w), rows):
             j = start + int(np.argmin(ok[start:start + rows]))  # the level's first failing row

@@ -375,3 +375,38 @@ def spd_solve_dense(matrix, b):
 def spd_inv_norm_dense(matrix, w):
     """||w||_{M^{-1}} = sqrt(<M^{-1} w, w>) through `spd_solve_dense`."""
     return float(np.sqrt(np.dot(spd_solve_dense(matrix, w), w)))
+
+
+def shrink_until_accepted_sequential(step_fn, eta, max_shrink=60, expect=0):
+    """The reject-and-shrink loop one error at a time: try eta, halve it
+    while the step rejects (at most max_shrink - 1 times), then try the zero
+    error.  `expect` is accepted and ignored."""
+    from proxlab.errors import SolverError
+
+    current = np.array(eta)
+    for attempts in range(max_shrink):
+        result = step_fn(current)
+        if result.status != "reject":
+            return result, current, attempts
+        current = 0.5 * current
+    current = np.zeros_like(current)
+    result = step_fn(current)
+    if result.status == "reject":
+        raise SolverError("the step rejects even the zero error")
+    return result, current, max_shrink
+
+
+def power_gradient_decimal(v, p, rho, digits=50):
+    """The gradient N^(rho-1) sign(v_i) (|v_i| / N)^(p-1), N = ||v||_p, of
+    (1/rho) ||v||_p^rho, entry by entry in `digits`-digit decimal arithmetic
+    (whose exponent range neither overflows nor underflows here), rounded
+    to doubles at the end."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = digits
+        mags = [abs(Decimal(float(t))) for t in v]
+        p_d, rho_d = Decimal(float(p)), Decimal(float(rho))
+        n = sum((m ** p_d for m in mags if m), Decimal(0)) ** (1 / p_d)
+        out = [float(n ** (rho_d - 1) * (m / n) ** (p_d - 1)) if m else 0.0 for m in mags]
+    return np.copysign(out, v)

@@ -98,11 +98,11 @@ def _fail_certificate_at(monkeypatch, w_target):
     hits = []
 
     def certificate(f, op, lam, w, y):
-        y, box, residual, bound = original(f, op, lam, w, y)
+        y, box, gy, residual, bound = original(f, op, lam, w, y)
         hit = w[..., 0] == w_target
         hits.append(int(np.sum(hit)))
         residual = np.where(hit, np.inf, residual)
-        return y, box, residual if residual.ndim else float(residual), bound
+        return y, box, gy, residual if residual.ndim else float(residual), bound
 
     monkeypatch.setattr(resolvent, "_certificate", certificate)
     return hits

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -299,6 +300,9 @@ algorithms.rs_zero_containment algorithms.rs_cosh_projection
 """.split()
 
 
+CHECK_ALL_SEED1_SHA256 = "809c0cc3ca709aeaea2a2291da3271fdcc3483e2fecb2cf495ced06b81c37041"
+
+
 def test_check_all_suites_exit_zero(capsys):
     # shipping requirement: the full invariant battery passes at seed 1, and
     # no invariant is dropped or renamed
@@ -307,6 +311,9 @@ def test_check_all_suites_exit_zero(capsys):
     lines = out.splitlines()
     assert [line.split(":")[0] for line in lines[:-1]] == [f"PASS {name}" for name in ALL_CHECKS]
     assert lines[-1] == "28/28 checks passed"
+    # every figure the battery prints is pinned too: a change to one is a
+    # change to the numbers and must be named as such
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_ALL_SEED1_SHA256
 
 
 def test_csv_floats_roundtrip(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import bisect_increasing
+from oracles import bisect_increasing, power_gradient_decimal
 from proxlab import checks
 from proxlab.legendre import (CoshSum, PowerEuclidean, PowerP, QuadraticForm, bregman_distance,
                               diagnostics, euclidean, grad_inverse_residual, parse_legendre)
@@ -160,6 +160,29 @@ def test_power_gradient_is_finite_in_tiny_coordinates_past_overflow():
     assert u[0] == np.inf
     assert_allclose(u[1], 1e-300, rtol=1e-12)
     assert_allclose(top, 1.7e308 / (np.sqrt(np.sqrt(2.0) * 1.7) * 1e154), rtol=1e-12)
+
+
+def test_power_gradient_keeps_entries_whose_factor_underflows():
+    # |x_i| / N or its power (|x_i| / N)^(p-1) fell to 0 or below the normal
+    # doubles while N^(rho-1) times it is a normal double: the entry read
+    # -0.0 and 8.807e-131, or lost all but a few digits
+    assert_allclose(PowerEuclidean(3.8, 2).gradient([6.6e89, -1.35e-235])[1],
+                    -6.3901764809707615e-74, rtol=1e-13)
+    assert_allclose(PowerEuclidean(1.85, 2).gradient([1e227, 1.1e-96])[1],
+                    9.803760319471657e-131, rtol=1e-13)
+    rng = np.random.default_rng(18)
+    checked = 0
+    for _ in range(300):
+        dim = int(rng.integers(2, 4))
+        p, rho = rng.uniform(1.3, 4.0, size=2)
+        v = rng.choice([-1.0, 1.0], size=dim) * 10.0 ** rng.uniform(-300.0, 300.0, size=dim)
+        ref = power_gradient_decimal(v, p, rho)
+        normal = (np.abs(ref) >= np.finfo(float).tiny) & np.isfinite(ref)
+        with np.errstate(over="ignore"):
+            got = PowerP(p, rho, dim).gradient(v)
+        assert_allclose(got[normal], ref[normal], rtol=1e-12)
+        checked += int(np.sum(normal))
+    assert checked > 300
 
 
 @pytest.mark.parametrize("f", [PowerEuclidean(1.5, 1), PowerEuclidean(4.0, 8), PowerP(1.5, 3.0, 1),
