@@ -714,8 +714,9 @@ def _eckstein(spec, stop, n, x):
     lam = spec.lam.at(n)
 
     def step(etas):
-        x_new = _protoresolvent(spec.f, spec.op, lam, etas[0] + spec.f.gradient(x))
-        xi = etas[0] / lam - (spec.f.gradient(x_new) - spec.f.gradient(x)) / lam
+        gx = spec.f.gradient(x)
+        x_new = _protoresolvent(spec.f, spec.op, lam, etas[0] + gx)
+        xi = etas[0] / lam - (spec.f.gradient(x_new) - gx) / lam
         return StepResult(status="accepted", y=np.array(x_new), xi=xi, x_next=x_new)
     return lam, None, step
 

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import DimensionMismatch, NotSpd
 
 MAX_DIM = 64
+_TINY_NORM = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
 
 # one van der Corput base per coordinate: the first MAX_DIM primes
 _HALTON_PRIMES = (
@@ -54,10 +55,31 @@ def row_dot(a, b):
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def row_norm(v):
-    """Euclidean norm over the last axis, bit for bit np.linalg.norm per vector."""
+def residual_norm(v):
+    """Euclidean norm over the last axis, bit for bit np.linalg.norm per
+    vector: the norm of a residual checked against a tolerance far above
+    1e-146, where row_norm's rescaling of tiny vectors changes no outcome
+    but would cost a pass over the exactly-zero rows residuals are full of."""
     sq = row_dot(v, v)
     return math.sqrt(sq) if v.ndim == 1 else np.sqrt(sq)
+
+
+def row_norm(v):
+    """residual_norm, except that a nonzero vector whose norm is below
+    sqrt(tiny / eps) ~ 1e-146, where squaring loses digits, is scaled by its
+    largest entry first, which keeps full precision down to the subnormals.
+    A row gets the bits of the single-vector call."""
+    norm = residual_norm(v)
+    if v.ndim == 1:
+        return float(row_norm(v[None])[0]) if norm < _TINY_NORM and np.count_nonzero(v) else norm
+    # one argmin tells whether any row is small (or NaN)
+    if norm.size and not norm.flat[norm.argmin()] >= _TINY_NORM:
+        small = norm < _TINY_NORM
+        if np.count_nonzero(v[small]):
+            m = np.max(np.abs(v[small]), axis=-1)
+            u = v[small] / np.where(m > 0.0, m, 1.0)[:, None]  # a zero row stays 0
+            norm[small] = m * np.sqrt(row_dot(u, u))
+    return norm
 
 
 def pairing(a, b) -> float:

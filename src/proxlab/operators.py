@@ -10,11 +10,13 @@ of the single-vector call.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyOperatorValue
 from .legendre import _parse_kv_list
-from .numerics import as_vector, halton_points, require_finite, row_dot, row_norm
+from .numerics import as_vector, halton_points, require_finite, residual_norm, row_dot
 
 
 class ValueBox:
@@ -34,7 +36,7 @@ class ValueBox:
 
     def distance(self, xi):
         """Distance from xi to the box, per row; +inf on empty rows."""
-        d = row_norm(xi - self.nearest(xi))
+        d = residual_norm(xi - self.nearest(xi))
         return np.where(self.empty, np.inf, d) if np.ndim(d) else d
 
     def support_argmin(self, direction):
@@ -43,12 +45,28 @@ class ValueBox:
 
 
 class MonotoneOp:
-    """Base class. Subclasses fill in value boxes and the structure the
-    solvers route on.  The oracles take length-`dim` float vectors, or
-    (k, dim) rows, and do not check them."""
+    """Base class.  A subclass fills in value boxes and, in its constructor,
+    `parts`: the catalog parts of A = dG for G = phi + h, where phi is
+    separable and nonsmooth, with parts ("abs", weight, shift) and ("box",
+    lower, upper), and h is smooth, with parts ("affine", M, b, separable)
+    and ("smooth", grad, hess, separable).  `separable` and `domain` (closed
+    per-coordinate bounds, scalars for the whole line) follow from the parts.
+    An operator without parts, or a sum with such a term, routes only to the
+    multisection.  The oracles take length-`dim` float vectors, or (k, dim)
+    rows, and do not check them."""
 
     kind = "abstract"
     dim: int
+    parts = ()
+    separable = True
+    domain = (-np.inf, np.inf)
+
+    def _set_parts(self, parts):
+        self.parts = tuple(parts)
+        self.separable = all(p[3] for p in self.parts if p[0] in ("affine", "smooth"))
+        for _, lower, upper in (p for p in self.parts if p[0] == "box"):
+            lo, hi = self.domain
+            self.domain = (np.maximum(lo, lower), np.minimum(hi, upper))
 
     #  value oracle
 
@@ -62,34 +80,6 @@ class MonotoneOp:
         """Exact distance from xi to A(y); raises if A(y) is empty (per row
         for rows, +inf on an empty row)."""
         return self.value_box(y).distance(xi)
-
-    #  structure used by the inclusion solvers
-
-    @property
-    def separable(self) -> bool:
-        return True
-
-    @property
-    def domain(self):
-        """Per-coordinate bounds (lo, hi) of the admissible points, closed;
-        scalars when every coordinate ranges over the whole line."""
-        return (-np.inf, np.inf)
-
-    def as_affine(self):
-        """(M, b) when the operator is y -> M y + b, else None."""
-        return None
-
-    def as_subdiff_abs(self):
-        """(weight, shift) when the operator is d(w ||. - s||_1), else None."""
-        return None
-
-    def as_box(self):
-        """(lower, upper) when the operator is the normal cone of that box, else None."""
-        return None
-
-    def smooth_gradient(self):
-        """(grad, hess) callables when the operator is a smooth convex gradient."""
-        return None
 
     #  graph sampling
 
@@ -138,13 +128,11 @@ class SubdiffAbs(MonotoneOp):
             shift = np.full(dim, float(shift))
         self.shift = as_vector(shift, dim)
         self.dim = self.shift.shape[0]
+        self._set_parts([("abs", self.weight, self.shift)])
 
     def value_box(self, y):
         w = self.weight
         return ValueBox(np.where(y > self.shift, w, -w), np.where(y < self.shift, -w, w))
-
-    def as_subdiff_abs(self):
-        return (self.weight, self.shift)
 
     def spec_string(self):
         return f"abs:w={self.weight!r},shift=" + ",".join(repr(float(s)) for s in self.shift)
@@ -169,19 +157,13 @@ class Affine(MonotoneOp):
         self.matrix = m
         self.offset = as_vector(offset, m.shape[0])
         self.dim = m.shape[0]
-        self._separable = bool(np.count_nonzero(m - np.diag(np.diagonal(m))) == 0)
+        separable = bool(np.count_nonzero(m - np.diag(np.diagonal(m))) == 0)
+        self._set_parts([("affine", m, self.offset, separable)])
 
     def value_box(self, y):
         # one matrix-vector product per row, each with the single-vector bits
         v = (self.matrix @ np.asarray(y)[..., None])[..., 0] + self.offset
         return ValueBox(v, v)
-
-    @property
-    def separable(self):
-        return self._separable
-
-    def as_affine(self):
-        return (self.matrix, self.offset)
 
     def spec_string(self):
         if not self.separable:
@@ -206,6 +188,7 @@ class NormalConeBox(MonotoneOp):
         if np.any(self.lower > self.upper):
             raise ValueError("box requires lower <= upper")
         self.dim = self.lower.shape[0]
+        self._set_parts([("box", self.lower, self.upper)])
 
     def value_box(self, y):
         y = np.asarray(y)
@@ -220,13 +203,6 @@ class NormalConeBox(MonotoneOp):
         if empty.any():
             lo[empty] = hi[empty] = np.nan
         return ValueBox(lo, hi, empty)
-
-    @property
-    def domain(self):
-        return (self.lower, self.upper)
-
-    def as_box(self):
-        return (self.lower, self.upper)
 
     def spec_string(self):
         return ("box:" + ",".join(repr(float(v)) for v in self.lower)
@@ -257,37 +233,38 @@ class GradientOfConvex(MonotoneOp):
             shift = np.full(dim, float(shift))
         self.shift = as_vector(shift, dim)
         self.dim = self.shift.shape[0]
-
-    def gradient(self, y):
-        d = y - self.shift
-        if self.profile == "logcosh":
-            return self.weight * np.tanh(d)
-        if self.profile == "quartic":
-            return self.weight * d ** 3
-        return self.weight * np.asarray(row_dot(d, d))[..., None] * d
-
-    def hessian(self, y):
-        d = y - self.shift
-        if self.profile == "logcosh":
-            return self.weight * np.diag(1.0 / np.cosh(d) ** 2)
-        if self.profile == "quartic":
-            return self.weight * np.diag(3.0 * d ** 2)
-        return self.weight * (float(np.dot(d, d)) * np.eye(self.dim) + 2.0 * np.outer(d, d))
+        # bound to the data, not to self: a bound method in self.parts would
+        # make every operator a reference cycle
+        self.gradient = partial(_convex_gradient, profile, self.weight, self.shift)
+        self.hessian = partial(_convex_hessian, profile, self.weight, self.shift)
+        separable = profile != "norm4" or self.dim == 1
+        self._set_parts([("smooth", self.gradient, self.hessian, separable)])
 
     def value_box(self, y):
         v = self.gradient(y)
         return ValueBox(v, v)
 
-    @property
-    def separable(self):
-        return self.profile != "norm4" or self.dim == 1
-
-    def smooth_gradient(self):
-        return (self.gradient, self.hessian)
-
     def spec_string(self):
         return (f"grad:{self.profile}:w={self.weight!r},shift="
                 + ",".join(repr(float(s)) for s in self.shift))
+
+
+def _convex_gradient(profile, weight, shift, y):
+    d = y - shift
+    if profile == "logcosh":
+        return weight * np.tanh(d)
+    if profile == "quartic":
+        return weight * d ** 3
+    return weight * np.asarray(row_dot(d, d))[..., None] * d
+
+
+def _convex_hessian(profile, weight, shift, y):
+    d = y - shift
+    if profile == "logcosh":
+        return weight * np.diag(1.0 / np.cosh(d) ** 2)
+    if profile == "quartic":
+        return weight * np.diag(3.0 * d ** 2)
+    return weight * (float(np.dot(d, d)) * np.eye(len(d)) + 2.0 * np.outer(d, d))
 
 
 class Scaled(MonotoneOp):
@@ -301,40 +278,11 @@ class Scaled(MonotoneOp):
         self.lam = float(lam)
         self.inner = inner
         self.dim = inner.dim
+        self._set_parts(_scaled(part, self.lam) for part in inner.parts)
 
     def value_box(self, y):
         box = self.inner.value_box(y)
         return ValueBox(self.lam * box.lo, self.lam * box.hi, box.empty)
-
-    @property
-    def separable(self):
-        return self.inner.separable
-
-    @property
-    def domain(self):
-        return self.inner.domain
-
-    def as_affine(self):
-        base = self.inner.as_affine()
-        if base is None:
-            return None
-        return (self.lam * base[0], self.lam * base[1])
-
-    def as_subdiff_abs(self):
-        base = self.inner.as_subdiff_abs()
-        if base is None:
-            return None
-        return (self.lam * base[0], base[1])
-
-    def as_box(self):
-        return self.inner.as_box()  # a positive multiple of a normal cone is that cone
-
-    def smooth_gradient(self):
-        base = self.inner.smooth_gradient()
-        if base is None:
-            return None
-        grad, hess = base
-        return (lambda y: self.lam * grad(y), lambda y: self.lam * hess(y))
 
     def spec_string(self):
         return f"scale:{self.lam!r}:{self.inner.spec_string()}"
@@ -354,11 +302,15 @@ class OperatorSum(MonotoneOp):
             if t.dim != self.dim:
                 raise DimensionMismatch("sum terms live in different dimensions")
         self.terms = terms
-        lo, hi = np.full(self.dim, -np.inf), np.full(self.dim, np.inf)
-        for t in terms:
-            tlo, thi = t.domain
-            lo, hi = np.maximum(lo, tlo), np.minimum(hi, thi)
-        self._domain = (lo, hi)
+        if all(t.parts for t in terms):  # a term without parts leaves the sum without
+            parts = [p for t in terms for p in t.parts if p[0] != "affine"]
+            affine = [p for t in terms for p in t.parts if p[0] == "affine"]
+            if affine:  # folded in term order from zeros
+                m, b = np.zeros((self.dim, self.dim)), np.zeros(self.dim)
+                for _, tm, tb, _ in affine:
+                    m, b = m + tm, b + tb
+                parts.append(("affine", m, b, all(p[3] for p in affine)))
+            self._set_parts(parts)
 
     def value_box(self, y):
         lo = np.zeros(self.dim)
@@ -369,26 +321,21 @@ class OperatorSum(MonotoneOp):
             lo, hi, empty = lo + box.lo, hi + box.hi, empty | box.empty
         return ValueBox(lo, hi, empty)
 
-    @property
-    def separable(self):
-        return all(t.separable for t in self.terms)
-
-    @property
-    def domain(self):
-        return self._domain
-
-    def as_affine(self):
-        m = np.zeros((self.dim, self.dim))
-        b = np.zeros(self.dim)
-        for t in self.terms:
-            base = t.as_affine()
-            if base is None:
-                return None
-            m, b = m + base[0], b + base[1]
-        return (m, b)
-
     def spec_string(self):
         return "sum:" + "|".join(t.spec_string() for t in self.terms)
+
+
+def _scaled(part, lam):
+    """The part of lam A that the part `part` of A becomes."""
+    kind = part[0]
+    if kind == "abs":
+        return ("abs", lam * part[1], part[2])
+    if kind == "affine":
+        return ("affine", lam * part[1], lam * part[2], part[3])
+    if kind == "smooth":
+        grad, hess = part[1], part[2]
+        return ("smooth", lambda y: lam * grad(y), lambda y: lam * hess(y), part[3])
+    return part  # a positive multiple of a normal cone is that cone
 
 
 def identity_op(dim) -> Affine:

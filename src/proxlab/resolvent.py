@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import EmptyOperatorValue, NoStrategy, SolverError, StrongImplicitnessFailure
 from .legendre import LegendreFn, QuadraticForm
-from .numerics import as_vector, require_finite, row_dot, row_norm, unit_directions
+from .numerics import as_vector, require_finite, residual_norm, row_dot, row_norm, unit_directions
 from .operators import MonotoneOp
 
 INNER_RTOL = 1e-10     # certificate and linear-verification bound, relative to 1 + norm
@@ -130,9 +130,9 @@ def _solve_separable(f, op, lam, w):
     return y if np.ndim(w) == 2 else y[0]
 
 
-def _solve_newton(f, op, lam, w):
-    """Damped Newton for y + lam gradF(y) = w (f is the identity quadratic)."""
-    grad, hess = op.smooth_gradient()
+def _solve_newton(part, lam, w):
+    """Damped Newton for y + lam grad(y) = w (f the identity quadratic, A one smooth part)."""
+    _, grad, hess, _ = part
     y = np.array(w, dtype=float)
     target = max(1e-14, 0.01 * INNER_RTOL) * (1.0 + float(np.linalg.norm(w)))
     g = y + lam * grad(y) - w
@@ -140,7 +140,7 @@ def _solve_newton(f, op, lam, w):
         gn = float(np.linalg.norm(g))
         if gn <= target:
             return y
-        jac = np.eye(f.dim) + lam * hess(y)
+        jac = np.eye(len(y)) + lam * hess(y)
         step = np.linalg.solve(jac, -g)
         t = 1.0
         while t > 1e-12:
@@ -162,8 +162,8 @@ def _certificate(f, op, lam, w, y):
     y = op._clamp_to_domain(y)
     box = op.value_box(y)
     gy = f.gradient(y)
-    residual = row_norm(gy + lam * box.nearest((w - gy) / lam) - w)
-    return y, box, gy, residual, INNER_RTOL * (1.0 + row_norm(w))
+    residual = residual_norm(gy + lam * box.nearest((w - gy) / lam) - w)
+    return y, box, gy, residual, INNER_RTOL * (1.0 + residual_norm(w))
 
 
 def _certify(f, op, lam, w, y):
@@ -198,10 +198,12 @@ def _zero_residual(f, op, lam, x):
 def _closed_form(f, op, lam):
     """w -> y for the closed-form pairings, over one vector or the rows of a
     (k, dim) array (each row with the bits of the single-vector call); None
-    for the other pairings."""
-    affine = op.as_affine()
-    if affine is not None:
-        m, b = affine
+    for the other pairings, among them every operator of more than one part."""
+    if len(op.parts) != 1:
+        return None
+    kind, *data = op.parts[0]
+    if kind == "affine":
+        m, b, _ = data
         if isinstance(f, QuadraticForm):
             a = f.metric.matrix + lam * m
             # a stacked solve: one LAPACK call, and per row the single-vector bits
@@ -212,9 +214,8 @@ def _closed_form(f, op, lam):
 
     if not f.separable:
         return None
-    abs_form = op.as_subdiff_abs()
-    if abs_form is not None:
-        weight, shift = abs_form
+    if kind == "abs":
+        weight, shift = data
         if isinstance(f, QuadraticForm) and f.is_identity:
             def soft_threshold(w):
                 d = w - shift
@@ -230,9 +231,8 @@ def _closed_form(f, op, lam):
             return np.where(excess <= 0.0, shift, f.grad_inverse(gs + np.sign(d) * excess))
         return shrink
 
-    box = op.as_box()
-    if box is not None:
-        return lambda w: np.clip(f.grad_inverse(w), *box)
+    if kind == "box":
+        return lambda w: np.clip(f.grad_inverse(w), *data)
     return None
 
 
@@ -248,14 +248,14 @@ def _route(f, op, lam):
     if closed is not None:
         return closed, True
 
-    if isinstance(f, QuadraticForm) and f.is_identity and op.smooth_gradient() is not None:
+    if isinstance(f, QuadraticForm) and f.is_identity and [p[0] for p in op.parts] == ["smooth"]:
         def newton(w):
             if w.ndim == 1:
-                return _solve_newton(f, op, lam, w)
+                return _solve_newton(op.parts[0], lam, w)
             y = np.full_like(w, np.nan)
             for j, row in enumerate(w):
                 with suppress(SolverError):
-                    y[j] = _solve_newton(f, op, lam, row)
+                    y[j] = _solve_newton(op.parts[0], lam, row)
             return y
         return newton, False
 
@@ -297,12 +297,12 @@ def _verify(f, op, lam, eta, gx, y, xi):
 def _report(lam, eta, gx, xi, membership, gy):
     """The report from xi's distance to A(y) and gy = grad f(y), or a report
     of per-row arrays for rows."""
-    linear = row_norm(eta - xi - (gy - gx) / lam)
+    linear = residual_norm(eta - xi - (gy - gx) / lam)
     return VerificationReport(
         membership_residual=membership,
         linear_residual=linear,
         membership_pass=membership <= MEMBERSHIP_TOL,
-        linear_pass=linear <= INNER_RTOL * (1.0 + row_norm(eta)),
+        linear_pass=linear <= INNER_RTOL * (1.0 + residual_norm(eta)),
     )
 
 

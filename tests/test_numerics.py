@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,7 +8,7 @@ from proxlab import checks
 from proxlab.errors import DimensionMismatch, NotSpd
 from oracles import halton_points_scalar, spd_inv_norm_dense, spd_solve_dense
 from proxlab.numerics import (SpdMetric, as_vector, halton_points, pairing, random_spd_matrix,
-                              row_dot, row_norm)
+                              residual_norm, row_dot, row_norm)
 
 
 def test_pairing_values():
@@ -159,3 +161,41 @@ def test_metric_rows_match_single_vectors():
             assert np.array_equal(method(rows), np.array([method(r) for r in rows]))
         assert np.array_equal(row_norm(rows), [np.linalg.norm(r) for r in rows])
         assert np.array_equal(row_dot(rows, rows[::-1]), [np.dot(a, b) for a, b in zip(rows, rows[::-1])])
+
+
+def test_tiny_error_is_rejected_by_the_ips_test():
+    # squaring 3e-290 underflowed to 0, so Phi = Psi = 0 accepted an error
+    # with Phi = 3e-290 > Psi = 4.5e-291
+    from proxlab.algorithms import _ips_step
+    from proxlab.operators import Affine
+    step = _ips_step(Affine(np.eye(1), np.zeros(1)), 1.0, 0.3, np.array([1e-300]))
+    assert step.step(np.array([3e-290])).status == "reject"
+
+
+def _extreme_rows(rng, count, dim):
+    """Rows whose entries range from the subnormals to 1e150, zeros and NaNs among them."""
+    rows = np.sign(rng.standard_normal((count, dim))) * 10.0 ** rng.uniform(-323.5, 150.0, (count, 1))
+    rows *= 10.0 ** rng.uniform(-20.0, 0.0, (count, dim))
+    rows[rng.random((count, dim)) < 0.2] = 0.0
+    rows[:3] = [[0.0] * dim, [5e-324] * dim, [1e-146] * dim]
+    rows[3, 0] = np.nan
+    return rows
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8])
+def test_row_norm_extreme_rows_match_hypot(dim):
+    rng = np.random.default_rng([13, dim])
+    rows = _extreme_rows(rng, 400, dim)
+    norms = row_norm(rows)
+    assert norms.tobytes() == np.array([row_norm(r) for r in rows]).tobytes()
+    assert row_norm(rows.reshape(20, 20, dim)).tobytes() == norms.tobytes()
+    ref = np.array([math.hypot(*r) for r in rows])
+    assert np.isnan(norms[3]) and np.isnan(ref[3]) and norms[0] == 0.0
+    ok = np.abs(norms - ref) <= 4e-16 * (dim + 1) * ref + 5e-324
+    assert ok[4:].all() and ok[:3].all()
+    # a sum of squares above tiny / eps keeps np.linalg.norm's bits
+    big = row_dot(rows, rows) >= np.finfo(float).tiny / np.finfo(float).eps
+    assert big.sum() > 100
+    assert norms[big].tobytes() == np.array([np.linalg.norm(r) for r in rows[big]]).tobytes()
+    # residual_norm keeps them on every row
+    np.testing.assert_array_equal(residual_norm(rows), [np.linalg.norm(r) for r in rows])

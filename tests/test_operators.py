@@ -117,16 +117,23 @@ def test_sum_and_scale_structure():
     assert coord_kinks(s, 0) == (0.5,)
     assert coord_box(s, 0, 0.5) == (-2.0, 2.0)
     assert np.array_equal(np.stack(coord_value_box(s, [0.5])), [[-2.0], [2.0]])
-    weight, shift = s.as_subdiff_abs()
-    assert weight == 2.0 and np.array_equal(shift, [0.5])
+    (kind, weight, shift), = s.parts
+    assert kind == "abs" and weight == 2.0 and np.array_equal(shift, [0.5])
     total = OperatorSum([inner, identity_op(1)])
     assert coord_box(total, 0, 0.5) == (-0.5, 1.5)
     box = total.value_box(np.array([0.5]))
     assert (box.lo[0], box.hi[0]) == (-0.5, 1.5)
     assert coord_kinks(total, 0) == (0.5,)
-    assert total.as_subdiff_abs() is None and total.as_box() is None
+    # two parts: neither the abs nor the box closed form applies
+    assert [p[0] for p in total.parts] == ["abs", "affine"]
     cone = NormalConeBox(-1.0, 2.0, 1)
-    assert [b.tolist() for b in Scaled(3.0, cone).as_box()] == [[-1.0], [2.0]]
+    (kind, lower, upper), = Scaled(3.0, cone).parts
+    assert kind == "box" and [lower.tolist(), upper.tolist()] == [[-1.0], [2.0]]
+    # the affine parts of a sum fold into one, the domain is the boxes' intersection
+    (_, m, b, separable), = OperatorSum([identity_op(2), Affine(np.diag([1.0, 2.0]), [1.0, -1.0])]).parts
+    assert m.tolist() == [[2.0, 0.0], [0.0, 3.0]] and b.tolist() == [1.0, -1.0] and separable
+    boxes = OperatorSum([cone, NormalConeBox(0.0, 3.0, 1)])
+    assert [d.tolist() for d in boxes.domain] == [[0.0], [2.0]] and len(boxes.parts) == 2
     with pytest.raises(DimensionMismatch):
         OperatorSum([identity_op(1), identity_op(2)])
 

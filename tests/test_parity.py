@@ -70,6 +70,7 @@ CONFIGS = {
         "scheme_params": {"sigma": 0.5, "radius_probes": 4},
         "policy": {"kind": "radius_fraction", "fraction": 0.4}, "stop": STOP, "seed": 7,
     },
+    "eckstein_cosh_sum_abs_affine_2d": (0, "32f938cce2fe8c92d0b5c1abe8459b59059d78857bfc4ff39773bd5be9be07a1"),
     "eckstein_power3_summable_1d": {
         "space_dim": 1, "scheme": "eckstein", "x0": [2.5], "legendre": "power:rho=3",
         "operator": "affine:diag=1.5,b=-0.75",
@@ -81,12 +82,37 @@ CONFIGS = {
         "operators": ["abs:w=1,shift=0", "affine:diag=1,b=0"],
         "policy": {"kind": "zero"}, "stop": {"max_iters": 60, "zero_detect": 1e-8}, "seed": 0,
     },
+    "rs_box_scaled_grad_affine_sum_2d": (4, "461a54746f2ebfee263860d18f125604c1db938b4bb2930c72a6cd8bf34ee864"),
     "rs_euclidean_common_zero_summable": {
         "space_dim": 2, "scheme": "rs", "x0": [1.0, -1.0],
         "operators": ["abs:w=1,shift=0", "affine:diag=1,2,b=0", "grad:logcosh:shift=0"],
         "scheme_params": {"lambda": {"kind": "constant", "value": 1.0}, "common_zero": [0.0, 0.0]},
         "policy": {"kind": "summable_geometric", "c": 0.05, "q": 0.5},
         "stop": {"max_iters": 200, "zero_detect": 1e-8}, "seed": 8,
+    },
+    # composite operators: the multisection on a sum, the closed form
+    # through a scaling, and for rs the box clamp, Newton through a scaling
+    # and the affine parts of a sum folded into one
+    "eckstein_cosh_sum_abs_affine_2d": {
+        "space_dim": 2, "scheme": "eckstein", "x0": [2.0, -1.5], "legendre": "cosh",
+        "operator": "sum:abs:w=0.5,shift=0.2|affine:diag=1,2,b=0",
+        "scheme_params": {"lambda": {"kind": "constant", "value": 1.0}},
+        "policy": {"kind": "summable_geometric", "c": 0.1, "q": 0.5}, "stop": STOP, "seed": 3,
+    },
+    "ss_scaled_abs_radius_fraction_2d": {
+        "space_dim": 2, "scheme": "ss", "x0": [2.0, -1.0],
+        "operator": "scale:2:abs:w=0.5,shift=1,-0.5",
+        "scheme_params": {"sigma": 0.5, "mu": {"kind": "constant", "value": 1.0},
+                          "radius_probes": 2},
+        "policy": {"kind": "radius_fraction", "fraction": 0.5}, "stop": STOP, "seed": 4,
+    },
+    "rs_box_scaled_grad_affine_sum_2d": {
+        "space_dim": 2, "scheme": "rs", "x0": [1.0, -1.0],
+        "operators": ["box:-1,1", "scale:0.5:grad:logcosh:shift=0",
+                      "sum:affine:diag=1,b=0|affine:diag=0.5,2,b=0"],
+        "scheme_params": {"lambda": {"kind": "constant", "value": 1.0}},
+        "policy": {"kind": "summable_geometric", "c": 0.05, "q": 0.5},
+        "stop": {"max_iters": 30, "zero_detect": 1e-8}, "seed": 5,
     },
 }
 
@@ -101,9 +127,12 @@ CONFIGS = {
 # re-pinned when metric solves moved to the cached inverse Cholesky factor
 # (same 20 iterations and exit code, iterates within 2.3e-16 absolute);
 # ss_radius_fraction_2d, whose 10-row levels share radius-search passes, was
-# recorded while every level still had a pass of its own
+# recorded while every level still had a pass of its own; the three composite
+# configs were recorded while each operator kind still had its own routing
+# views (as_affine, as_subdiff_abs, as_box, smooth_gradient)
 EXPECTED = {
     "eckstein_cosh_constant_norm_geometric": (0, "286cbd4f7cf8b9c7c5399e5ba6ec2bda50630d45f3b09d9bafc0ea02d8b58ef7"),
+    "eckstein_cosh_sum_abs_affine_2d": (0, "32f938cce2fe8c92d0b5c1abe8459b59059d78857bfc4ff39773bd5be9be07a1"),
     "eckstein_power3_summable_1d": (0, "0251a05a20219a19d32948d93ac0e0e444a6bb7ff448aa19aa1fdd23f3a56308"),
     "eckstein_summable_criterion10": (0, "7ee494766d15f0a34b4832319d96ffce2049f0f583a8e3045d2df498a71c8b9d"),
     "ips_nu_from_radius_fraction_1d": (0, "14880fa4086bb5d2a0ef4f3fe9371d2aeb58a4096ee57dfcd595e39ae9c9de2a"),
@@ -111,10 +140,12 @@ EXPECTED = {
     "pls_radius_fraction_1d": (0, "d501fd5f87d6925f303e057bfaacd4627d11388f28d6a21c17881792e653236e"),
     "pls_random_spd_summable_2d": (0, "10c86359998e8f16d0e2e52b971cdac925213c355f356e3be01839b55cd1ea16"),
     "rs_cosh_2d_zero": (0, "dd4feaf29ad067ad40612d36c3b6eab2118adda6d6888c0586a17f80c1ae2b22"),
+    "rs_box_scaled_grad_affine_sum_2d": (4, "461a54746f2ebfee263860d18f125604c1db938b4bb2930c72a6cd8bf34ee864"),
     "rs_euclidean_common_zero_summable": (4, "c2903ca4d8969eddafe4cac362634254e8d3e1ca43f1b1338b70cc0a70bc4584"),
     "ss_constant_norm_2d": (0, "f783d42f6f9a0ee75b7d53c8789e9a3dae8ec4c88592bfd23452b31a1d1ab2ef"),
     "ss_radius_fraction_1d": (0, "d2514ad6bfdf2c23a755ee90049ffcbb534d53bf494a41405afeed5d0fef98be"),
     "ss_radius_fraction_2d": (0, "e353d27c287460bff4999830f3b7ff2d69ee5964216ee068f1f3f2819460682f"),
+    "ss_scaled_abs_radius_fraction_2d": (0, "71dd11a5898e8e29043deddda17374287a5b9d33d018dee873fb5917e2994257"),
 }
 
 

@@ -87,7 +87,9 @@ def test_multisection_matches_scalar_bisection(dim):
 
 
 @pytest.mark.parametrize("t", [1e-6, 1e-9])
-@pytest.mark.parametrize("route", [lambda op: op, lambda op: OperatorSum([op])],
+# a sum with a zero affine term has two parts, so it goes to the multisection
+@pytest.mark.parametrize("route", [lambda op: op,
+                                   lambda op: OperatorSum([op, Affine(np.zeros((3, 3)), np.zeros(3))])],
                          ids=["closed_form", "multisection"])
 def test_small_separable_solutions_are_exact_relative(t, route):
     # an absolute stopping width used to leave errors of 4.8e-8 t (box) and
