@@ -151,6 +151,12 @@ def conjugate_gap(f, u):
     return abs(f.conjugate_value(u) - f.closed_form_conjugate(u))
 
 
+def bregman_separation_gaps(f, y, x):
+    """-D_f(y, x), and ||y - x|| if D_f(y, x) <= 1e-12 else 0: small, as D_f > 0 off y = x."""
+    d = bregman_distance(f, y, x)
+    return -d, float(np.linalg.norm(y - x)) if d <= 1e-12 else 0.0
+
+
 def finite_difference_gap(f, x):
     """||grad f(x) - central differences with step 1e-5 (1 + ||x||)|| relative to 1 + ||grad f(x)||."""
     h = 1e-5 * (1.0 + np.linalg.norm(x))
@@ -161,10 +167,17 @@ def finite_difference_gap(f, x):
 
 def monotonicity_gap(op, count, rng):
     """min <xi_i - xi_j, y_i - y_j> over `count` sampled graph points: >= 0 if A is monotone."""
-    ys, xis = (np.array(v) for v in zip(*op.sample_graph(count, rng)))
+    ys, xis = op.sample_graph(count, rng)
     s = np.einsum("ij,ij->i", xis, ys)
     cross = xis @ ys.T
     return float(np.min(s[:, None] + s[None, :] - cross - cross.T))
+
+
+def enlargement_eps_rise(op, y, xi, eps_levels, witness_budget):
+    """Largest rise of the finite sampled enlargement residuals from one eps level to the next: <= 0."""
+    vals = [enlargement_residual(op, e, y, xi, witness_budget=witness_budget) for e in eps_levels]
+    finite = [v for v in vals if np.isfinite(v)]
+    return max((b - a for a, b in zip(finite, finite[1:])), default=0.0)
 
 
 def scaling_law_sides(op, lam, y, xi):
@@ -294,11 +307,8 @@ def legendre_suite(seed=1):
         for _ in range(300):
             x = rng.uniform(-3.0, 3.0, size=f.dim)
             y = rng.uniform(-3.0, 3.0, size=f.dim)
-            d = bregman_distance(f, y, x)
-            if d < -1e-12:
-                breg_bad += 1
-            if d <= 1e-12 and np.linalg.norm(y - x) > 1e-6:
-                breg_bad += 1
+            negative, unseparated = bregman_separation_gaps(f, y, x)
+            breg_bad += (negative > 1e-12) + (unseparated > 1e-6)
     results.append(CheckResult("legendre.bregman_nonnegativity", breg_bad == 0,
                                f"{breg_bad} failures over catalog x 300"))
 
@@ -339,11 +349,7 @@ def _check_operators(rng):
         op = _separable_ops(rng, dim)
         y = op._clamp_to_domain(rng.uniform(-1.5, 1.5, size=dim))
         xi = rng.uniform(-2.0, 2.0, size=dim)
-        vals = [enlargement_residual(op, e, y, xi, witness_budget=64)
-                for e in (0.0, 0.25, 0.5, 1.0)]
-        finite = [v for v in vals if np.isfinite(v)]
-        if any(b > a + 1e-12 for a, b in zip(finite, finite[1:])):
-            enl_bad += 1
+        enl_bad += enlargement_eps_rise(op, y, xi, (0.0, 0.25, 0.5, 1.0), 64) > 1e-12
     results.append(CheckResult("operators.enlargement_monotone_in_eps", enl_bad == 0,
                                f"{enl_bad} failures over 40 samples"))
 

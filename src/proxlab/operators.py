@@ -45,15 +45,15 @@ class ValueBox:
 
 
 class MonotoneOp:
-    """Base class.  A subclass fills in value boxes and, in its constructor,
-    `parts`: the catalog parts of A = dG for G = phi + h, where phi is
-    separable and nonsmooth, with parts ("abs", weight, shift) and ("box",
-    lower, upper), and h is smooth, with parts ("affine", M, b, separable)
-    and ("smooth", grad, hess, separable).  `separable` and `domain` (closed
+    """Base class.  A subclass sets `dim` and, in its constructor, `parts`, the
+    catalog parts of A = dG for G = phi + h: phi is separable and nonsmooth,
+    with parts ("abs", weight, shift) and ("box", lower, upper); h is smooth,
+    with parts ("affine", M, b, separable) and ("smooth", grad, hess,
+    separable).  The value oracle, `separable` and `domain` (closed
     per-coordinate bounds, scalars for the whole line) follow from the parts.
-    An operator without parts, or a sum with such a term, routes only to the
-    multisection.  The oracles take length-`dim` float vectors, or (k, dim)
-    rows, and do not check them."""
+    A subclass without parts defines its own `value_box`, routes only to the
+    multisection, and cannot be scaled or summed.  The oracles take
+    length-`dim` float vectors, or (k, dim) rows, and do not check them."""
 
     kind = "abstract"
     dim: int
@@ -71,10 +71,32 @@ class MonotoneOp:
     #  value oracle
 
     def value_box(self, y) -> ValueBox:
-        """A(y) as a box, or one box per row of a (k, dim) array.  A single
-        vector with an empty value raises EmptyOperatorValue; rows report
-        empty values in the box's `empty` mask."""
-        raise NotImplementedError
+        """A(y) as a box, or one box per row of a (k, dim) array: the sum of the
+        parts' boxes, in parts order.  A single vector with an empty value
+        raises EmptyOperatorValue; rows mark it in the box's `empty` mask."""
+        if not self.parts:
+            raise NotImplementedError(f"{type(self).__name__} has no parts to evaluate")
+        y, total, empty = np.asarray(y), None, False
+        for part in self.parts:
+            kind, a, b = part[0], part[1], part[2]
+            if kind == "abs":  # a weight, b shift
+                lo, hi = np.where(y > b, a, -a), np.where(y < b, -a, a)
+            elif kind == "box":  # a lower, b upper
+                outside = (y < a) | (y > b)
+                out = outside.any(axis=-1)
+                if y.ndim == 1 and out:
+                    i = int(np.argmax(outside))
+                    raise EmptyOperatorValue(f"empty operator value: coordinate {i} = {y[i]} outside [{a[i]}, {b[i]}]")
+                lo, hi = np.where(y == a, -np.inf, 0.0), np.where(y == b, np.inf, 0.0)
+                if out.any():
+                    lo[out] = hi[out] = np.nan
+                empty = empty | out
+            elif kind == "affine":  # one matrix-vector product per row, each with the single-vector bits
+                lo = hi = (a @ y[..., None])[..., 0] + b
+            else:
+                lo = hi = a(y)
+            total = (lo, hi) if total is None else (total[0] + lo, total[1] + hi)
+        return ValueBox(*total, empty)
 
     def membership_residual(self, y, xi):
         """Exact distance from xi to A(y); raises if A(y) is empty (per row
@@ -84,29 +106,21 @@ class MonotoneOp:
     #  graph sampling
 
     def sample_graph(self, count, rng):
-        """Random graph points (y, xi), y drawn from [-3, 3]^dim, for monotonicity audits."""
-        pts = []
-        while len(pts) < count:
-            y = rng.uniform(-3.0, 3.0, size=self.dim)
-            y = self._clamp_to_domain(y)
-            box = self.value_box(y)
-            xi = np.empty(self.dim)
-            for i in range(self.dim):
-                lo, hi = box.lo[i], box.hi[i]
-                if np.isfinite(lo) and np.isfinite(hi):
-                    xi[i] = rng.uniform(lo, hi) if hi > lo else lo
-                elif np.isfinite(lo):
-                    xi[i] = lo + rng.exponential(1.0)
-                elif np.isfinite(hi):
-                    xi[i] = hi - rng.exponential(1.0)
-                else:
-                    xi[i] = rng.standard_normal()
-            pts.append((y, xi))
-        return pts
+        """`count` random graph points of A, for monotonicity audits, as two
+        (count, dim) arrays ys and xis.  y is uniform on [-3, 3]^dim, clamped
+        to the domain; per coordinate, xi is uniform on a bounded A(y), lo +
+        Exp(1) or hi - Exp(1) on a half-line, and normal on the whole line.
+        y, the uniforms, exponentials and normals are drawn in that order."""
+        ys = self._clamp_to_domain(rng.uniform(-3.0, 3.0, size=(count, self.dim)))
+        box = self.value_box(ys)
+        u, e, n = rng.uniform(size=ys.shape), rng.exponential(1.0, ys.shape), rng.standard_normal(ys.shape)
+        has_lo, has_hi = np.isfinite(box.lo), np.isfinite(box.hi)
+        lo, hi = np.where(has_lo, box.lo, 0.0), np.where(has_hi, box.hi, 0.0)  # no inf in the arithmetic
+        xis = np.where(has_lo & has_hi, lo + (hi - lo) * u, np.where(has_lo, lo + e, np.where(has_hi, hi - e, n)))
+        return ys, xis
 
     def _clamp_to_domain(self, y):
-        lo, hi = self.domain
-        return np.clip(np.asarray(y, dtype=float), lo, hi)
+        return np.clip(np.asarray(y, dtype=float), *self.domain)
 
     def spec_string(self) -> str:
         raise NotImplementedError
@@ -129,10 +143,6 @@ class SubdiffAbs(MonotoneOp):
         self.shift = as_vector(shift, dim)
         self.dim = self.shift.shape[0]
         self._set_parts([("abs", self.weight, self.shift)])
-
-    def value_box(self, y):
-        w = self.weight
-        return ValueBox(np.where(y > self.shift, w, -w), np.where(y < self.shift, -w, w))
 
     def spec_string(self):
         return f"abs:w={self.weight!r},shift=" + ",".join(repr(float(s)) for s in self.shift)
@@ -160,11 +170,6 @@ class Affine(MonotoneOp):
         separable = bool(np.count_nonzero(m - np.diag(np.diagonal(m))) == 0)
         self._set_parts([("affine", m, self.offset, separable)])
 
-    def value_box(self, y):
-        # one matrix-vector product per row, each with the single-vector bits
-        v = (self.matrix @ np.asarray(y)[..., None])[..., 0] + self.offset
-        return ValueBox(v, v)
-
     def spec_string(self):
         if not self.separable:
             return f"affine:dense[{self.dim}x{self.dim}]"
@@ -189,20 +194,6 @@ class NormalConeBox(MonotoneOp):
             raise ValueError("box requires lower <= upper")
         self.dim = self.lower.shape[0]
         self._set_parts([("box", self.lower, self.upper)])
-
-    def value_box(self, y):
-        y = np.asarray(y)
-        outside = (y < self.lower) | (y > self.upper)
-        empty = outside.any(axis=-1)
-        if y.ndim == 1 and empty:
-            i = int(np.argmax(outside))
-            raise EmptyOperatorValue(f"empty operator value: coordinate {i} = {y[i]} "
-                                     f"outside [{self.lower[i]}, {self.upper[i]}]")
-        lo = np.where(y == self.lower, -np.inf, 0.0)
-        hi = np.where(y == self.upper, np.inf, 0.0)
-        if empty.any():
-            lo[empty] = hi[empty] = np.nan
-        return ValueBox(lo, hi, empty)
 
     def spec_string(self):
         return ("box:" + ",".join(repr(float(v)) for v in self.lower)
@@ -240,10 +231,6 @@ class GradientOfConvex(MonotoneOp):
         separable = profile != "norm4" or self.dim == 1
         self._set_parts([("smooth", self.gradient, self.hessian, separable)])
 
-    def value_box(self, y):
-        v = self.gradient(y)
-        return ValueBox(v, v)
-
     def spec_string(self):
         return (f"grad:{self.profile}:w={self.weight!r},shift="
                 + ",".join(repr(float(s)) for s in self.shift))
@@ -275,14 +262,12 @@ class Scaled(MonotoneOp):
     def __init__(self, lam, inner):
         if not 0.0 < lam < np.inf:
             raise ValueError("scaling factor must be positive")
+        if not inner.parts:
+            raise TypeError(f"{type(inner).__name__} has no catalog parts to scale")
         self.lam = float(lam)
         self.inner = inner
         self.dim = inner.dim
         self._set_parts(_scaled(part, self.lam) for part in inner.parts)
-
-    def value_box(self, y):
-        box = self.inner.value_box(y)
-        return ValueBox(self.lam * box.lo, self.lam * box.hi, box.empty)
 
     def spec_string(self):
         return f"scale:{self.lam!r}:{self.inner.spec_string()}"
@@ -301,25 +286,17 @@ class OperatorSum(MonotoneOp):
         for t in terms:
             if t.dim != self.dim:
                 raise DimensionMismatch("sum terms live in different dimensions")
+            if not t.parts:
+                raise TypeError(f"{type(t).__name__} has no catalog parts to sum")
         self.terms = terms
-        if all(t.parts for t in terms):  # a term without parts leaves the sum without
-            parts = [p for t in terms for p in t.parts if p[0] != "affine"]
-            affine = [p for t in terms for p in t.parts if p[0] == "affine"]
-            if affine:  # folded in term order from zeros
-                m, b = np.zeros((self.dim, self.dim)), np.zeros(self.dim)
-                for _, tm, tb, _ in affine:
-                    m, b = m + tm, b + tb
-                parts.append(("affine", m, b, all(p[3] for p in affine)))
-            self._set_parts(parts)
-
-    def value_box(self, y):
-        lo = np.zeros(self.dim)
-        hi = np.zeros(self.dim)
-        empty = False
-        for term in self.terms:
-            box = term.value_box(y)
-            lo, hi, empty = lo + box.lo, hi + box.hi, empty | box.empty
-        return ValueBox(lo, hi, empty)
+        parts = [p for t in terms for p in t.parts if p[0] != "affine"]
+        affine = [p for t in terms for p in t.parts if p[0] == "affine"]
+        if affine:  # folded in term order from zeros
+            m, b = np.zeros((self.dim, self.dim)), np.zeros(self.dim)
+            for _, tm, tb, _ in affine:
+                m, b = m + tm, b + tb
+            parts.append(("affine", m, b, all(p[3] for p in affine)))
+        self._set_parts(parts)
 
     def spec_string(self):
         return "sum:" + "|".join(t.spec_string() for t in self.terms)
@@ -385,7 +362,7 @@ CATALOG_SPECS = (
     "grad:quartic:shift=0   gradient of w sum (. - shift)^4 / 4",
     "grad:norm4:shift=0     gradient of w ||. - shift||^4 / 4",
     "scale:0.5:abs:w=1      positive rescaling of an inner operator",
-    "sum:spec|spec          Minkowski sum of compatible operators",
+    "sum:spec|spec          Minkowski sum of compatible operators, none a sum",
 )
 
 
@@ -434,5 +411,7 @@ def parse_operator(spec: str, dim: int) -> MonotoneOp:
         factor_s, _, inner = rest.partition(":")
         return Scaled(float(factor_s), parse_operator(inner, dim))
     if head == "sum":
+        if "sum:" in rest.lower():  # the '|' grammar cannot nest
+            raise ValueError(f"a sum term cannot itself hold a sum: {spec!r}")
         return OperatorSum([parse_operator(part, dim) for part in rest.split("|")])
     raise ValueError(f"unknown operator spec {spec!r}")

@@ -137,7 +137,10 @@ def coord_box(op, i, t):
         return (-np.inf if t == lo else 0.0, np.inf if t == hi else 0.0)
     if isinstance(op, GradientOfConvex):  # logcosh, quartic, or norm4 in 1-D
         d = t - op.shift[i]
-        v = op.weight * (np.tanh(d) if op.profile == "logcosh" else d ** 3)
+        if op.profile == "logcosh":
+            return (op.weight * np.tanh(d),) * 2
+        # an array's cube can round apart from the scalar d ** 3; norm4 is (w |d|^2) d
+        v = op.weight * np.power([d], 3)[0] if op.profile == "quartic" else op.weight * (d * d) * d
         return (v, v)
     if isinstance(op, Scaled):
         lo, hi = coord_box(op.inner, i, t)

@@ -227,6 +227,14 @@ def test_parse_config_rejects_unknown_field():
                           "operator": "abs:w=1", "poliy": {"kind": "zero"}})
 
 
+def test_nested_sum_spec_exits_1(capsys):
+    nested = "sum:scale:2.0:sum:abs:w=1.0,shift=0.0|affine:diag=1.0,b=0.0|affine:diag=2.0,b=1.0"
+    with pytest.raises(ConfigError, match="cannot itself hold a sum"):
+        cli.parse_config({"space_dim": 1, "scheme": "ss", "x0": [2.0], "operator": nested})
+    code, _, err = run_cli(capsys, "prox", "--f", "quadratic", "--op", nested, "--x", "0.5")
+    assert code == 1 and "cannot itself hold a sum" in err
+
+
 def test_prox_no_strategy_exits_2(capsys):
     code, _, err = run_cli(capsys, "prox", "--f", "power:rho=4", "--op", "abs:w=1",
                            "--x", "1,2,3")

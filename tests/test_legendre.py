@@ -84,10 +84,8 @@ def test_bregman_properties_sampled():
         for _ in range(200):
             x = rng.uniform(-3.0, 3.0, size=f.dim)
             y = rng.uniform(-3.0, 3.0, size=f.dim)
-            d = bregman_distance(f, y, x)
-            assert d >= -1e-12
-            if d <= 1e-12:
-                assert np.linalg.norm(y - x) <= 1e-6
+            negative, unseparated = checks.bregman_separation_gaps(f, y, x)
+            assert negative <= 1e-12 and unseparated <= 1e-6
 
 
 def test_fenchel_young_equality_sampled():

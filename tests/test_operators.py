@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import coord_box, coord_kinks, coord_value_box, enlargement_residual_scalar
+from test_routing import SHAPES
 from proxlab import checks
 from proxlab.errors import DimensionMismatch, EmptyOperatorValue
 from proxlab.legendre import euclidean
@@ -65,10 +66,10 @@ def test_affine_matrix_is_read_only():
 
 def test_enlargement_monotone_in_eps():
     abs1 = SubdiffAbs(1.0, np.zeros(1))
-    vals = [enlargement_residual(abs1, e, [0.0], [1.4], witness_budget=512)
-            for e in (0.0, 0.1, 0.2, 0.4)]
-    assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
-    assert vals[0] > 0.0  # 1.4 is outside the subdifferential at the kink
+    y, xi = np.zeros(1), np.array([1.4])
+    assert checks.enlargement_eps_rise(abs1, y, xi, (0.0, 0.1, 0.2, 0.4), 512) <= 1e-12
+    # 1.4 is outside the subdifferential at the kink
+    assert enlargement_residual(abs1, 0.0, y, xi, witness_budget=512) > 0.0
 
 
 def test_zero_residual_examples():
@@ -158,20 +159,40 @@ def test_parse_operator():
         parse_operator("grad:cubic:shift=0", 1)
 
 
+def _same_parts(a, b):
+    """The parts of a and b hold the same bits; smooth parts compare their values on rows."""
+    rows = np.random.default_rng(a.dim).uniform(-2.0, 2.0, size=(5, a.dim))
+    assert [p[0] for p in a.parts] == [p[0] for p in b.parts]
+    for pa, pb in zip(a.parts, b.parts):
+        if pa[0] == "smooth":
+            pa, pb = ((p[1](rows), p[2](rows[0]), p[3]) for p in (pa, pb))
+        for u, v in zip(pa, pb):
+            assert np.asarray(u).tobytes() == np.asarray(v).tobytes(), (pa[0], a)
+
+
 def test_spec_strings_reparse():
-    ops = [
-        SubdiffAbs(0.5, np.array([1.0, -1.0])),
-        Affine(np.diag([1.0, 2.0]), np.array([0.1, 0.2])),
-        NormalConeBox(np.array([-1.0, -2.0]), np.array([0.5, 2.0])),
-        Scaled(0.5, SubdiffAbs(1.0, np.zeros(2))),
-        GradientOfConvex("quartic", np.zeros(2), 2),
-    ]
-    for op in ops:
-        clone = parse_operator(op.spec_string(), 2)
-        y = np.array([0.3, -0.7])
-        xi = np.array([0.2, 0.4])
-        assert clone.membership_residual(y, xi) == pytest.approx(
-            op.membership_residual(y, xi), abs=1e-14)
+    # dense matrices print a placeholder, and the '|' grammar cannot nest a sum in a sum
+    shapes = [(name, build) for name, (build, _, leaves) in sorted(SHAPES.items())
+              if leaves and "affine_dense" not in leaves and name.count("sum(") < 2]
+    for dim in (1, 2, 8):
+        for name, build in shapes:
+            op = build(dim)
+            clone = parse_operator(op.spec_string(), dim)
+            assert clone.spec_string() == op.spec_string(), name
+            _same_parts(clone, op)
+
+
+def test_nested_sum_spec_is_refused():
+    op = OperatorSum([Scaled(2.0, OperatorSum([SubdiffAbs(1.0, [0.0]), identity_op(1)])),
+                      Affine(np.diag([2.0]), [1.0])])
+    assert op.value_box(np.array([0.5])).lo[0] == 5.0
+    with pytest.raises(ValueError, match="cannot itself hold a sum"):
+        parse_operator(op.spec_string(), 1)  # it split at every '|' into a different operator
+    with pytest.raises(ValueError, match="cannot itself hold a sum"):
+        parse_operator("sum:abs:w=1|sum:abs:w=2", 1)
+    top = parse_operator("scale:2:sum:abs:w=1,shift=0|affine:diag=1,b=0", 1)
+    assert isinstance(top, Scaled) and len(top.inner.terms) == 2
+    assert top.value_box(np.array([0.5])).lo[0] == 3.0
 
 
 def test_box_spec_broadcast():
@@ -196,7 +217,13 @@ def _row_catalog(dim, rng):
     ]
 
 
-@pytest.mark.parametrize("dim", [1, 3, 8])
+# lam (M y + b) and M1 y + b1 + M2 y + b2 round apart from the parts'
+# (lam M) y + lam b and (M1 + M2) y + (b1 + b2)
+AFFINE_SCALED_OR_FOLDED = {"scale(affine)", "scale(affine_dense)", "scale(scale(affine_dense))",
+                           "sum(affine,affine_dense)", "sum(scale(sum(affine,constant)),affine_dense)"}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
 def test_row_value_box_stacks_single_vector_boxes(dim):
     rng = np.random.default_rng(dim)
     rows = rng.uniform(-1.5, 1.5, size=(12, dim))
@@ -206,7 +233,9 @@ def test_row_value_box_stacks_single_vector_boxes(dim):
     rows[3, -1] = 4.0                  # outside the box
     rows[4] = rng.uniform(-0.9, 0.9, size=dim)  # strictly inside
     xi = rng.uniform(-2.0, 2.0, size=rows.shape)
-    for op in _row_catalog(dim, rng):
+    ops = [(type(op).__name__, op) for op in _row_catalog(dim, rng)]
+    ops += [(name, build(dim)) for name, (build, _, leaves) in sorted(SHAPES.items()) if leaves]
+    for name, op in ops:
         box = op.value_box(rows)
         empty = np.broadcast_to(box.empty, len(rows))
         dist = op.membership_residual(rows, xi)
@@ -214,13 +243,18 @@ def test_row_value_box_stacks_single_vector_boxes(dim):
             try:
                 single = op.value_box(row)
             except EmptyOperatorValue:
-                assert empty[j] and dist[j] == np.inf
+                assert empty[j] and dist[j] == np.inf, name
                 continue
-            assert not empty[j]
-            assert np.array_equal(box.lo[j], single.lo) and np.array_equal(box.hi[j], single.hi)
-            assert dist[j] == op.membership_residual(row, xi[j])
-            if isinstance(op, (SubdiffAbs, NormalConeBox)):  # their boxes were assembled by coordinate
-                assert np.array_equal(np.stack(coord_value_box(op, row)), np.stack((single.lo, single.hi)))
+            assert not empty[j], name
+            assert np.array_equal(box.lo[j], single.lo) and np.array_equal(box.hi[j], single.hi), name
+            assert dist[j] == op.membership_residual(row, xi[j]), name
+            if not op.separable:
+                continue
+            coord = np.stack(coord_value_box(op, row))
+            if name in AFFINE_SCALED_OR_FOLDED:
+                assert_allclose(np.stack((single.lo, single.hi)), coord, rtol=1e-15, atol=1e-15, err_msg=name)
+            else:
+                assert np.array_equal(np.stack((single.lo, single.hi)), coord), name
     # a single vector outside the box still raises, naming the first coordinate outside
     outside = np.zeros(dim)
     outside[-1] = 4.0

@@ -79,8 +79,6 @@ def _shapes():
     shapes["sum(box,box)"] = (
         lambda d: OperatorSum([_leaf("box", d), NormalConeBox(-0.5, 3.0, d)]), "multi", ("box",))
     shapes["undeclared"] = (Undeclared, "multi", ())
-    shapes["sum(undeclared,affine)"] = (
-        lambda d: OperatorSum([Undeclared(d), _leaf("affine", d)]), "multi", ("affine",))
     shapes["scale(sum(scale(sum(logcosh))))"] = (
         lambda d: Scaled(2.0, OperatorSum([Scaled(0.5, OperatorSum([_leaf("logcosh", d)]))])),
         "smooth", ("logcosh",))
@@ -154,6 +152,16 @@ def test_undeclared_operator_routes_as_the_base_class():
     assert np.all(np.abs(np.sinh(y) + 2.0 * y - [1.0, -2.0]) <= 1e-12)
     with pytest.raises(NoStrategy):
         resolvent._route(PowerEuclidean(3.0, 2), op, 1.0)
+
+
+def test_operators_without_parts_are_not_scaled_or_summed():
+    with pytest.raises(TypeError, match="Undeclared has no catalog parts to scale"):
+        Scaled(2.0, Undeclared(2))
+    for terms in ([Undeclared(2), _leaf("affine", 2)], [_leaf("affine", 2), Undeclared(2)]):
+        with pytest.raises(TypeError, match="Undeclared has no catalog parts to sum"):
+            OperatorSum(terms)
+    with pytest.raises(NotImplementedError):
+        MonotoneOp.value_box(Undeclared(2), np.zeros(2))
 
 
 @pytest.mark.parametrize("dim", DIMS)
