@@ -17,14 +17,14 @@ y: only the stop residual at the new iterate ends a run as converged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .errors import (ConfigError, DimensionMismatch, InfeasibleProjection, SolverError,
                      StrongImplicitnessFailure, UpdateUndefined)
 from .legendre import LegendreFn, QuadraticForm, euclidean
-from .numerics import SpdMetric, as_vector, pairing, random_spd_matrix, require_finite
+from .numerics import (SpdMetric, _unit_normal, as_vector, pairing, random_spd_matrix,
+                       require_finite, residual_norm)
 from .operators import MonotoneOp
 from .resolvent import (_certified_rows, _certify, _check_pairing, _protoresolvent, _route, _solve,
                         _zero_residual, ips_form, pls_form, protoresolvent, radius_search, ss_form)
@@ -142,12 +142,7 @@ class PerturbationPolicy:
         rng = np.random.default_rng([self.seed, stream, n])
         if dim == 1:
             return np.array([1.0 if rng.random() < 0.5 else -1.0])
-        d = rng.standard_normal(dim)
-        nrm = np.linalg.norm(d)
-        while nrm <= 1e-12:
-            d = rng.standard_normal(dim)
-            nrm = np.linalg.norm(d)
-        return d / nrm
+        return _unit_normal(rng, dim)
 
     def draw(self, n: int, dim: int, stream: int = 0, radius=None):
         mag = self.magnitude(n, radius=radius)
@@ -172,7 +167,7 @@ class TraceRecord:
 
     @property
     def eta_norm(self) -> float:
-        return 0.0 if self.eta is None else float(np.linalg.norm(self.eta))
+        return 0.0 if self.eta is None else residual_norm(self.eta)
 
 
 @dataclass
@@ -234,26 +229,19 @@ class _Step:
     scheme's form rejects eta; accept(eta, y, xi) finishes an error the form
     does not reject.  The trial takes one error, or in `scan` the rows of a
     stack of errors, each row with the bits of the single error.  The
-    pairing is routed once, on first use.  The run loop calls the step with
-    one error row per operator (ss, ips and pls have one)."""
+    constructor routes the pairing: `solve` maps w to y, and `batches` is
+    True when a closed form routes it, so that a pass over many errors costs
+    about what one costs.  The run loop calls the step with one error row per
+    operator (ss, ips and pls have one)."""
 
     def __init__(self, f, op, lam, w, score, accept):
         self.f, self.op, self.lam, self.w, self.score, self.accept = f, op, lam, w, score, accept
-
-    @cached_property
-    def route(self):
-        return _route(self.f, self.op, self.lam)
-
-    @property
-    def batches(self):
-        """Whether a closed form routes the pairing, so that a pass over many
-        errors costs about what one costs."""
-        return self.route[1]
+        self.solve, self.batches = _route(f, op, lam)
 
     def step(self, eta):
         """The step for one error; a failed certificate raises SolverError."""
         w = self.w(eta)
-        y = _certify(self.f, self.op, self.lam, w, self.route[0](w))[0]
+        y = _certify(self.f, self.op, self.lam, w, self.solve(w))[0]
         xi, reject = self.score(eta, y)
         return StepResult(status="reject", y=y, xi=xi) if reject else self.accept(eta, y, xi)
 
@@ -266,7 +254,7 @@ class _Step:
         is the step at row j if the form accepts it, else None; j = k when
         every row is rejected."""
         etas = candidates[:, 0]
-        y, certified, *_ = _certified_rows(self.route[0], self.f, self.op, self.lam, self.w(etas))
+        y, certified, *_ = _certified_rows(self.solve, self.f, self.op, self.lam, self.w(etas))
         xi, reject = self.score(etas, y)
         stops = ~(reject & certified)
         if not stops.any():
@@ -295,8 +283,8 @@ def _ss_step(op, mu, sigma, x, zero_detect):
         return xi, form.gap(eta, xi, x, y) > 0.0
 
     def accept(eta, y, xi):
-        xi_norm = float(np.linalg.norm(xi))
-        if float(np.linalg.norm(y - x)) <= zero_detect:  # a zero only if the stop residual passes
+        xi_norm = residual_norm(xi)
+        if residual_norm(y - x) <= zero_detect:  # a zero only if the stop residual passes
             return StepResult(status="terminate", y=y, xi=xi,
                               certified_zero=_stop_residual([op], y) <= zero_detect)
         if xi_norm <= zero_detect:
@@ -377,7 +365,7 @@ def _pls_step(op, c, metric, f, sigma, tau, x, zero_detect):
         return xi, form.gap(eta, xi, x, y) > 0.0
 
     def accept(eta, y, xi):  # the record keeps the step's metric
-        if float(np.linalg.norm(y - x)) <= zero_detect:
+        if residual_norm(y - x) <= zero_detect:
             return StepResult(status="terminate", y=y, xi=xi, extra={"metric": metric},
                               certified_zero=_stop_residual([op], y) <= zero_detect)
 
@@ -405,7 +393,7 @@ def bregman_project(f: LegendreFn, halfspaces, x):
     x = as_vector(x, f.dim)
     checked = [(as_vector(a, f.dim), float(b)) for a, b in halfspaces]
     for a, b in checked:
-        if float(np.linalg.norm(a)) == 0.0 or not np.isfinite(b):
+        if residual_norm(a) == 0.0 or not np.isfinite(b):
             raise ValueError("halfspace needs a nonzero normal and a finite offset")
     require_finite(f.gradient(x), "grad f(x)")
     return _bregman_project(f, checked, x)
@@ -421,8 +409,8 @@ def _bregman_project(f, halfspaces, x):
     is exact: one step, z = x - A_S^T (A_S A_S^T)^{-1} (A_S x - b_S)."""
     if not halfspaces:
         return np.array(x)
-    a_mat = np.array([a / float(np.linalg.norm(a)) for a, _ in halfspaces])
-    b_vec = np.array([float(b) / float(np.linalg.norm(a)) for a, b in halfspaces])
+    a_mat = np.array([a / residual_norm(a) for a, _ in halfspaces])
+    b_vec = np.array([float(b) / residual_norm(a) for a, b in halfspaces])
 
     def state(u, mu):
         z = f.grad_inverse(u)
@@ -431,9 +419,9 @@ def _bregman_project(f, halfspaces, x):
 
     u, mu = f.gradient(x), np.zeros(len(b_vec))
     z, g, res = state(u, mu)
-    scale = max(float(np.max(np.abs(b_vec))), float(np.linalg.norm(z)))
+    scale = max(float(np.max(np.abs(b_vec))), residual_norm(z))
     for _ in range(500):
-        if res <= _KKT_RTOL * max(scale, float(np.linalg.norm(z))):
+        if res <= _KKT_RTOL * max(scale, residual_norm(z)):
             return z
         try:
             rows = a_mat @ np.linalg.cholesky(f.conj_hessian(u))  # rows rows^T = A H A^T
@@ -465,7 +453,7 @@ def _model_support(rows, h):
     on ||E w - e||, E = [-rows^T; h^T] scaled to unit rows and h, e the last unit
     vector; 1 - <h, w> = 0 certifies infeasibility.  A column (numerically) in the
     span of the passive ones is skipped until the passive set changes."""
-    nrm = np.linalg.norm(rows, axis=1)
+    nrm = residual_norm(rows)
     h = h / nrm
     top = float(np.max(np.abs(h))) or 1.0
     e_mat = np.vstack([-(rows / nrm[:, None]).T, h / top])
@@ -547,7 +535,7 @@ def rs_step(f: LegendreFn, ops, lams, etas, x0, x, common_zero=None) -> RsIterat
 def _degenerate_cut(a, g1, g2):
     """Whether the cut normal a = g1 - g2 is lost in the rounding of its own
     two terms, relative to their size (so at every scale of the iterates)."""
-    return np.linalg.norm(a) <= 1e-14 * (np.linalg.norm(g1) + np.linalg.norm(g2))
+    return residual_norm(a) <= 1e-14 * (residual_norm(g1) + residual_norm(g2))
 
 
 def _rs_step(f, ops, lams, etas, x0, x, common_zero):
@@ -573,7 +561,7 @@ def _rs_step(f, ops, lams, etas, x0, x, common_zero):
 
     if common_zero is not None:
         for a, b in it.halfspaces():
-            margin = (pairing(a, common_zero) - b) / float(np.linalg.norm(a))
+            margin = (pairing(a, common_zero) - b) / residual_norm(a)
             it.zero_margins.append(margin)
             if margin > 1e-9:
                 raise InfeasibleProjection(f"certified common zero violates a recorded cut by "
@@ -715,8 +703,8 @@ def _eckstein(spec, stop, n, x):
 
     def step(etas):
         gx = spec.f.gradient(x)
-        x_new = _protoresolvent(spec.f, spec.op, lam, etas[0] + gx)
-        xi = etas[0] / lam - (spec.f.gradient(x_new) - gx) / lam
+        x_new, gy = _protoresolvent(spec.f, spec.op, lam, etas[0] + gx)
+        xi = etas[0] / lam - (gy - gx) / lam
         return StepResult(status="accepted", y=np.array(x_new), xi=xi, x_next=x_new)
     return lam, None, step
 
@@ -813,7 +801,7 @@ def _iterate(spec, policy, stop, trace, x):
             x = result.y
         else:
             x = result.x_next
-        eta = max(etas, key=np.linalg.norm)  # the row records the largest error
+        eta = max(etas, key=residual_norm)  # the row records the largest error
         if spec.scheme == "eckstein":  # partial sums of <eta_n, x_n>, for the sidecar
             running_sum += pairing(eta, x)
             trace.partial_sums.append(running_sum)

@@ -17,7 +17,7 @@ import numpy as np
 from . import algorithms as alg
 from .legendre import (CoshSum, PowerEuclidean, PowerP, QuadraticForm,
                        bregman_distance, euclidean, grad_inverse_residual)
-from .numerics import SpdMetric, pairing, random_spd_matrix
+from .numerics import SpdMetric, pairing, random_spd_matrix, residual_norm
 from .operators import (Affine, GradientOfConvex, NormalConeBox, OperatorSum, Scaled,
                         SubdiffAbs, enlargement_residual, identity_op, zero_residual)
 from .reference import brute_force_protoresolvent
@@ -137,7 +137,7 @@ def metric_norm_gap(m, w):
 
 def solve_roundtrip_residual(m, b):
     """||M (M^{-1} b) - b|| relative to 1 + ||b||."""
-    return float(np.linalg.norm(m.apply(m.solve(b)) - b) / (1.0 + np.linalg.norm(b)))
+    return residual_norm(m.apply(m.solve(b)) - b) / (1.0 + residual_norm(b))
 
 
 def fenchel_young_gap(f, x):
@@ -154,15 +154,15 @@ def conjugate_gap(f, u):
 def bregman_separation_gaps(f, y, x):
     """-D_f(y, x), and ||y - x|| if D_f(y, x) <= 1e-12 else 0: small, as D_f > 0 off y = x."""
     d = bregman_distance(f, y, x)
-    return -d, float(np.linalg.norm(y - x)) if d <= 1e-12 else 0.0
+    return -d, residual_norm(y - x) if d <= 1e-12 else 0.0
 
 
 def finite_difference_gap(f, x):
     """||grad f(x) - central differences with step 1e-5 (1 + ||x||)|| relative to 1 + ||grad f(x)||."""
-    h = 1e-5 * (1.0 + np.linalg.norm(x))
+    h = 1e-5 * (1.0 + residual_norm(x))
     g = f.gradient(x)
     fd = np.array([(f.value(x + e) - f.value(x - e)) / (2.0 * h) for e in h * np.eye(f.dim)])
-    return float(np.linalg.norm(fd - g) / (1.0 + np.linalg.norm(g)))
+    return residual_norm(fd - g) / (1.0 + residual_norm(g))
 
 
 def monotonicity_gap(op, count, rng):
@@ -188,13 +188,13 @@ def scaling_law_sides(op, lam, y, xi):
 def reference_gap(inst, y):
     """Distance of y to the brute-force protoresolvent at the instance's shifted point."""
     w = inst.lam * inst.eta + inst.f.gradient(inst.x)
-    return float(np.linalg.norm(brute_force_protoresolvent(inst.f, inst.op, inst.lam, w) - y))
+    return residual_norm(brute_force_protoresolvent(inst.f, inst.op, inst.lam, w) - y)
 
 
 def exact_case_gap(f, op, lam, x):
     """Distance of the inclusion's y at eta = 0 to its equal, the protoresolvent of grad f(x)."""
     exact = solve_inclusion(InclusionInstance(f=f, op=op, lam=lam, x=x, eta=np.zeros(f.dim)))
-    return float(np.linalg.norm(exact.y - protoresolvent(f, op, lam, f.gradient(x))))
+    return residual_norm(exact.y - protoresolvent(f, op, lam, f.gradient(x)))
 
 
 def perturbation_moves(inst, rng, deltas, draws):
@@ -205,11 +205,10 @@ def perturbation_moves(inst, rng, deltas, draws):
     for d in deltas:
         worst = 0.0
         for _ in range(draws):
-            dx, de = (v * (d / np.linalg.norm(v)) for v in rng.standard_normal((2, inst.f.dim)))
+            dx, de = (v * (d / residual_norm(v)) for v in rng.standard_normal((2, inst.f.dim)))
             pert = solve_inclusion(InclusionInstance(
                 f=inst.f, op=inst.op, lam=inst.lam, x=inst.x + dx, eta=inst.eta + de))
-            worst = max(worst, float(np.linalg.norm(pert.y - base.y)
-                                     + np.linalg.norm(pert.xi - base.xi)))
+            worst = max(worst, residual_norm(pert.y - base.y) + residual_norm(pert.xi - base.xi))
         moves.append(worst)
     return moves
 
@@ -225,7 +224,7 @@ def ss_residuals(trace, op, sigma):
     Phi - Psi of the ss form, which the step keeps nonpositive."""
     return _per_step(trace, lambda prev, rec: (
         op.membership_residual(rec.y, rec.xi),
-        np.linalg.norm(rec.xi + rec.step_param * (rec.y - prev.x) + rec.eta),
+        residual_norm(rec.xi + rec.step_param * (rec.y - prev.x) + rec.eta),
         ss_form(sigma, rec.step_param).gap(rec.eta, rec.xi, prev.x, rec.y)))
 
 
@@ -235,7 +234,7 @@ def ips_residuals(trace, op, nu):
     def step(prev, rec):
         lam = rec.step_param
         xi = (rec.eta - (rec.y - prev.x)) / lam
-        return (op.membership_residual(rec.y, xi), np.linalg.norm(rec.x - (rec.y - rec.eta)),
+        return (op.membership_residual(rec.y, xi), residual_norm(rec.x - (rec.y - rec.eta)),
                 ips_form(nu, lam).gap(rec.eta / lam, xi, prev.x, rec.y))
     return _per_step(trace, step)
 
@@ -246,14 +245,14 @@ def pls_residuals(trace, op, sigma):
     def step(prev, rec):
         c, metric = rec.step_param, rec.extra["metric"]
         return (op.membership_residual(rec.y, rec.xi),
-                np.linalg.norm(rec.eta - (c * metric.apply(rec.xi) + rec.y - prev.x)),
+                residual_norm(rec.eta - (c * metric.apply(rec.xi) + rec.y - prev.x)),
                 pls_form(sigma, c, metric).gap(rec.eta, rec.xi, prev.x, rec.y))
     return _per_step(trace, step)
 
 
 def fejer_steps(trace, z):
     """||x_n - z|| - ||x_{n-1} - z|| per step: <= 0 while no step moves away from the zero z."""
-    return np.diff([np.linalg.norm(rec.x - z) for rec in trace.records])
+    return np.diff([residual_norm(rec.x - z) for rec in trace.records])
 
 
 def cut_margins(trace):
@@ -316,7 +315,7 @@ def legendre_suite(seed=1):
     for f in legendre_catalog():
         for _ in range(200):
             x = rng.uniform(-3.0, 3.0, size=f.dim)
-            if np.linalg.norm(x) >= 0.3:  # nonsmooth-looking origins are excluded from the stencil
+            if residual_norm(x) >= 0.3:  # nonsmooth-looking origins are excluded from the stencil
                 fd_bad += finite_difference_gap(f, x) > 1e-6
     results.append(CheckResult("legendre.gradient_vs_finite_differences", fd_bad == 0,
                                f"{fd_bad} failures over catalog x 200"))
@@ -424,7 +423,7 @@ def algorithms_suite(seed=1):
         y_classic = protoresolvent(euclidean(1), op_abs, lam, x)
         res = alg.ss_step(op_abs, 1.0 / lam, 0.5, x, np.zeros(1))
         y_eck = alg.eckstein_step(euclidean(1), op_abs, lam, x, np.zeros(1))
-        if np.linalg.norm(res.y - y_classic) > 1e-10 or np.linalg.norm(y_eck - y_classic) > 1e-10:
+        if residual_norm(res.y - y_classic) > 1e-10 or residual_norm(y_eck - y_classic) > 1e-10:
             exact_bad += 1
     results.append(CheckResult("algorithms.exactness_degeneration", exact_bad == 0,
                                f"{exact_bad} mismatches over 50 draws"))
@@ -438,7 +437,7 @@ def algorithms_suite(seed=1):
         trace = alg.run(spec, alg.PerturbationPolicy.radius_fraction(0.5, seed=seed),
                         alg.StopRule(max_iters=200, zero_detect=1e-8))
         member, identity, gap = ss_residuals(trace, op, 0.5)
-        xi_scale = 1.0 + np.array([np.linalg.norm(rec.xi) for rec in trace.records[1:]])
+        xi_scale = 1.0 + np.array([residual_norm(rec.xi) for rec in trace.records[1:]])
         audit_bad += int(np.sum(member > 1e-8) + np.sum(identity > 1e-10 * xi_scale)
                          + np.sum(gap > 1e-12))
         geom_bad += sum(abs(pairing(rec.xi, rec.x - rec.y)) > 1e-10 * scale

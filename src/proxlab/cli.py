@@ -18,7 +18,7 @@ import numpy as np
 from . import algorithms as alg
 from . import checks, legendre, operators
 from .errors import ConfigError, SolverError, StrongImplicitnessFailure
-from .numerics import as_vector, unit_directions
+from .numerics import as_vector, residual_norm, unit_directions
 from .resolvent import (DEFAULT_MAGNITUDES, InclusionInstance, ips_form, pls_form,
                         radius_search, solve_inclusion, ss_form, verify_solution)
 
@@ -325,7 +325,7 @@ def cmd_radius(args) -> int:
     else:
         spec = pls_form(args.sigma, args.lam, legendre.euclidean(x.shape[0]).metric)
     r = radius_search(f, op, args.lam, x, spec, probes=args.probes, seed=args.seed)
-    r0 = 1.0 + float(np.linalg.norm(x))
+    r0 = 1.0 + residual_norm(x)
     directions = len(unit_directions(args.probes, x.shape[0], args.seed))  # the two signs in 1-D
     print(f"radius = {_fmt(r)}")
     print(f"probes = {directions} directions x {len(DEFAULT_MAGNITUDES)} magnitudes, "

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch
-from .numerics import MAX_DIM, SpdMetric, as_vector, pairing
+from .numerics import MAX_DIM, SpdMetric, as_vector, pairing, residual_norm
 
 
 class LegendreFn:
@@ -95,9 +95,8 @@ class QuadraticForm(LegendreFn):
         if self.is_identity:
             return "quadratic"
         if self.metric.is_diagonal:
-            d = np.diagonal(self.metric.matrix)
-            return "quadratic:diag=" + ",".join(repr(float(v)) for v in d)
-        return f"quadratic:dense[{self.dim}x{self.dim}]"
+            return "quadratic:diag=" + ",".join(repr(float(v)) for v in np.diagonal(self.metric.matrix))
+        return "quadratic:m=" + ",".join(repr(float(v)) for v in self.metric.matrix.ravel())
 
 
 class CoshSum(LegendreFn):
@@ -248,7 +247,7 @@ def bregman_distance(f: LegendreFn, y, x) -> float:
 
 def grad_inverse_residual(f, x) -> float:
     """||grad f*(grad f(x)) - x|| relative to 1 + ||x||: zero for a Legendre f."""
-    return float(np.linalg.norm(f.grad_inverse(f.gradient(x)) - x) / (1.0 + np.linalg.norm(x)))
+    return residual_norm(f.grad_inverse(f.gradient(x)) - x) / (1.0 + residual_norm(x))
 
 
 def diagnostics(f, probe_budget=200, seed=0):
@@ -268,7 +267,7 @@ def diagnostics(f, probe_budget=200, seed=0):
     for _ in range(probe_budget):
         a = rng.uniform(-3.0, 3.0, size=dim)
         b = rng.uniform(-3.0, 3.0, size=dim)
-        if np.linalg.norm(a - b) < 1e-9:
+        if residual_norm(a - b) < 1e-9:
             continue
         mid = 0.5 * (a + b)
         if not f.value(mid) < 0.5 * (f.value(a) + f.value(b)) - 1e-14:
@@ -281,7 +280,7 @@ def diagnostics(f, probe_budget=200, seed=0):
     with np.errstate(over="ignore"):
         for _ in range(n_dirs):
             d = rng.standard_normal(dim)
-            d /= np.linalg.norm(d)
+            d /= residual_norm(d)
             ratios = [f.value(t * d) / t for t in scales]
             increasing = all(r2 > r1 or np.isinf(r2) for r1, r2 in zip(ratios, ratios[1:]))
             unbounded = np.isinf(ratios[-1]) or ratios[-1] > 10.0 * max(abs(ratios[0]), 1e-12)
@@ -305,6 +304,7 @@ def diagnostics(f, probe_budget=200, seed=0):
 CATALOG_SPECS = (
     "quadratic            f(x) = ||x||^2 / 2",
     "quadratic:diag=2,3   f(x) = <diag(...) x, x> / 2",
+    "quadratic:m=2,1,1,2  f(x) = <M x, x> / 2, M SPD given row-major",
     "cosh                 f(x) = sum_i cosh(x_i)",
     "power:rho=4          f(x) = ||x||^rho / rho (Euclidean norm)",
     "powerp:p=4,rho=4     f(x) = ||x||_p^rho / rho",
@@ -330,6 +330,23 @@ def _parse_kv_list(segment):
     return out
 
 
+def _parse_matrix(kv, dim, spec, diag=None):
+    """The matrix of a parsed spec: from m= (dim^2 entries, row-major) or from
+    diag= (one entry broadcasts), with `diag` standing in when it has neither."""
+    given = ("diag" in kv) + ("m" in kv)
+    if given > 1 or given == 0 and diag is None:
+        raise ValueError(f"spec needs diag=... or m=..., not both: {spec!r}")
+    if "m" in kv:
+        if len(kv["m"]) != dim * dim:
+            raise DimensionMismatch(f"m has {len(kv['m'])} entries for dim {dim}; it needs {dim * dim}")
+        return np.reshape(kv["m"], (dim, dim))
+    diag = kv.get("diag", diag)
+    diag = diag * dim if len(diag) == 1 else diag
+    if len(diag) != dim:
+        raise DimensionMismatch(f"diag has {len(diag)} entries for dim {dim}")
+    return np.diag(diag)
+
+
 def parse_legendre(spec: str, dim: int) -> LegendreFn:
     """Build a catalog entry from a CLI string such as 'cosh' or 'power:rho=4'."""
     head, _, rest = spec.partition(":")
@@ -337,15 +354,7 @@ def parse_legendre(spec: str, dim: int) -> LegendreFn:
     if head == "quadratic":
         if not rest:
             return euclidean(dim)
-        kv = _parse_kv_list(rest)
-        if "diag" not in kv:
-            raise ValueError(f"quadratic spec needs diag=...: {spec!r}")
-        diag = kv["diag"]
-        if len(diag) == 1:
-            diag = diag * dim
-        if len(diag) != dim:
-            raise DimensionMismatch(f"diag has {len(diag)} entries for dim {dim}")
-        return QuadraticForm(SpdMetric.diagonal(diag))
+        return QuadraticForm(SpdMetric(_parse_matrix(_parse_kv_list(rest), dim, spec)))
     if head == "cosh":
         return CoshSum(dim)
     if head == "power":

@@ -26,8 +26,9 @@ _HALTON_PRIMES = (
 
 
 def as_vector(x, dim=None):
-    """Coerce to a finite 1-D float array, validating dimension when given."""
-    v = np.atleast_1d(np.asarray(x, dtype=float))
+    """Coerce to a finite, contiguous 1-D float array (a copy only of a
+    strided input), validating dimension when given."""
+    v = np.ascontiguousarray(x, dtype=float)
     if v.ndim != 1:
         raise DimensionMismatch(f"expected a 1-D vector, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
@@ -217,13 +218,17 @@ def unit_directions(count, dim, seed):
     if dim == 1:
         return [np.array([1.0]), np.array([-1.0])]
     rng = np.random.default_rng(seed)
-    dirs = []
-    while len(dirs) < count:
+    return [_unit_normal(rng, dim) for _ in range(count)]
+
+
+def _unit_normal(rng, dim):
+    """A standard normal draw scaled to unit norm, redrawn while its norm is
+    at most 1e-12."""
+    while True:
         d = rng.standard_normal(dim)
-        n = np.linalg.norm(d)
+        n = residual_norm(d)
         if n > 1e-12:
-            dirs.append(d / n)
-    return dirs
+            return d / n
 
 
 def random_spd_matrix(dim, eig_lo, eig_hi, rng):

@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyOperatorValue
-from .legendre import _parse_kv_list
+from .legendre import _parse_kv_list, _parse_matrix
 from .numerics import as_vector, halton_points, require_finite, residual_norm, row_dot
 
 
@@ -157,8 +157,8 @@ class Affine(MonotoneOp):
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-        scale = max(np.linalg.norm(m), 1.0)
-        if np.linalg.norm(m - m.T) > 1e-10 * scale:
+        scale = max(residual_norm(m.ravel()), 1.0)
+        if residual_norm((m - m.T).ravel()) > 1e-10 * scale:
             raise ValueError("affine operator matrix must be symmetric")
         m = 0.5 * (m + m.T)
         if np.min(np.linalg.eigvalsh(m)) < -1e-10 * scale:
@@ -171,10 +171,8 @@ class Affine(MonotoneOp):
         self._set_parts([("affine", m, self.offset, separable)])
 
     def spec_string(self):
-        if not self.separable:
-            return f"affine:dense[{self.dim}x{self.dim}]"
-        d = np.diagonal(self.matrix)
-        return ("affine:diag=" + ",".join(repr(float(v)) for v in d)
+        key, m = ("diag", np.diagonal(self.matrix)) if self.separable else ("m", self.matrix.ravel())
+        return (f"affine:{key}=" + ",".join(repr(float(v)) for v in m)
                 + ",b=" + ",".join(repr(float(v)) for v in self.offset))
 
 
@@ -251,7 +249,7 @@ def _convex_hessian(profile, weight, shift, y):
         return weight * np.diag(1.0 / np.cosh(d) ** 2)
     if profile == "quartic":
         return weight * np.diag(3.0 * d ** 2)
-    return weight * (float(np.dot(d, d)) * np.eye(len(d)) + 2.0 * np.outer(d, d))
+    return weight * (row_dot(d, d) * np.eye(len(d)) + 2.0 * np.outer(d, d))
 
 
 class Scaled(MonotoneOp):
@@ -357,6 +355,7 @@ def zero_residual(op: MonotoneOp, f, lam, x) -> float:
 CATALOG_SPECS = (
     "abs:w=1,shift=0        subdifferential of w ||. - shift||_1",
     "affine:diag=1,b=0      y -> diag(...) y + b (PSD)",
+    "affine:m=2,1,1,2,b=0   y -> M y + b, M symmetric PSD given row-major",
     "box:-1,1               normal cone of the box [lower, upper]",
     "grad:logcosh:shift=0   gradient of w sum log cosh(. - shift)",
     "grad:quartic:shift=0   gradient of w sum (. - shift)^4 / 4",
@@ -379,13 +378,9 @@ def parse_operator(spec: str, dim: int) -> MonotoneOp:
         return SubdiffAbs(weight, shift, dim)
     if head == "affine":
         kv = _parse_kv_list(rest) if rest else {}
-        diag = kv.get("diag", [1.0])
-        diag = diag * dim if len(diag) == 1 else diag
         b = kv.get("b", [0.0])
         b = np.full(dim, b[0]) if len(b) == 1 else np.asarray(b)
-        if len(diag) != dim:
-            raise DimensionMismatch(f"diag has {len(diag)} entries for dim {dim}")
-        return Affine(np.diag(diag), b)
+        return Affine(_parse_matrix(kv, dim, spec, diag=[1.0]), b)
     if head == "box":
         if ";" not in rest:
             parts = [float(v) for v in rest.split(",")]

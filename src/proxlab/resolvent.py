@@ -54,7 +54,6 @@ def _check_pairing(f, op, lam):
 class InclusionSolution:
     y: np.ndarray
     xi: np.ndarray
-    inner_residual: float
 
 
 @dataclass(frozen=True)
@@ -134,10 +133,10 @@ def _solve_newton(part, lam, w):
     """Damped Newton for y + lam grad(y) = w (f the identity quadratic, A one smooth part)."""
     _, grad, hess, _ = part
     y = np.array(w, dtype=float)
-    target = max(1e-14, 0.01 * INNER_RTOL) * (1.0 + float(np.linalg.norm(w)))
+    target = max(1e-14, 0.01 * INNER_RTOL) * (1.0 + residual_norm(w))
     g = y + lam * grad(y) - w
     for _ in range(120):
-        gn = float(np.linalg.norm(g))
+        gn = residual_norm(g)
         if gn <= target:
             return y
         jac = np.eye(len(y)) + lam * hess(y)
@@ -146,13 +145,13 @@ def _solve_newton(part, lam, w):
         while t > 1e-12:
             cand = y + t * step
             gc = cand + lam * grad(cand) - w
-            if float(np.linalg.norm(gc)) <= (1.0 - 0.25 * t) * gn:
+            if residual_norm(gc) <= (1.0 - 0.25 * t) * gn:
                 y, g = cand, gc
                 break
             t *= 0.5
         else:
             raise SolverError("Newton line search stalled", residual=gn)
-    raise SolverError("Newton did not converge", residual=float(np.linalg.norm(g)))
+    raise SolverError("Newton did not converge", residual=residual_norm(g))
 
 
 def _certificate(f, op, lam, w, y):
@@ -167,9 +166,9 @@ def _certificate(f, op, lam, w, y):
 
 
 def _certify(f, op, lam, w, y):
-    """(y, residual) for one vector, or SolverError if the certificate fails."""
+    """(y, grad f(y)) for one vector, or SolverError if the certificate fails."""
     try:
-        y, _, _, residual, bound = _certificate(f, op, lam, w, y)
+        y, _, gy, residual, bound = _certificate(f, op, lam, w, y)
     except EmptyOperatorValue as exc:
         raise SolverError(f"solution left the operator domain: {exc}", residual=np.inf)
     if not residual <= bound:
@@ -177,22 +176,23 @@ def _certify(f, op, lam, w, y):
             f"protoresolvent certificate failed: residual {residual:.3e} > {bound:.3e}",
             residual=residual,
         )
-    return y, residual
+    return y, gy
 
 
 def protoresolvent(f: LegendreFn, op: MonotoneOp, lam: float, w):
     """The unique y with w in grad f(y) + lam A(y), certified by residual."""
     _check_pairing(f, op, lam)
-    return _protoresolvent(f, op, lam, as_vector(w, f.dim))
+    return _protoresolvent(f, op, lam, as_vector(w, f.dim))[0]
 
 
 def _protoresolvent(f, op, lam, w):
-    return _certify(f, op, lam, w, _route(f, op, lam)[0](w))[0]
+    """(y, grad f(y)) for the certified y on trusted data."""
+    return _certify(f, op, lam, w, _route(f, op, lam)[0](w))
 
 
 def _zero_residual(f, op, lam, x):
     """||x - Res^f_{lam A}(x)|| on trusted data: the stop residual of every scheme."""
-    return float(np.linalg.norm(x - _protoresolvent(f, op, lam, f.gradient(x))))
+    return residual_norm(x - _protoresolvent(f, op, lam, f.gradient(x))[0])
 
 
 def _closed_form(f, op, lam):
@@ -274,9 +274,8 @@ def solve_inclusion(inst: InclusionInstance) -> InclusionSolution:
 
 def _solve(f, op, lam, eta, gx):
     w = lam * eta + gx  # gx = grad f(x)
-    y, residual = _certify(f, op, lam, w, _route(f, op, lam)[0](w))
-    xi = eta - (f.gradient(y) - gx) / lam
-    return InclusionSolution(y=y, xi=xi, inner_residual=residual)
+    y, gy = _protoresolvent(f, op, lam, w)
+    return InclusionSolution(y=y, xi=eta - (gy - gx) / lam)
 
 
 def verify_solution(inst: InclusionInstance, y, xi) -> VerificationReport:
@@ -435,8 +434,8 @@ def radius_search(f, op, lam, x, spec: StronglyImplicitSpec, probes=64, halving_
     gx = require_finite(f.gradient(x), "grad f(x)")
 
     solve, batches = _route(f, op, lam)
-    y0 = _certify(f, op, lam, gx, solve(gx))[0]
-    xi0 = -(f.gradient(y0) - gx) / lam
+    y0, gy0 = _certify(f, op, lam, gx, solve(gx))
+    xi0 = -(gy0 - gx) / lam
     theta0 = -spec.gap(np.zeros(f.dim), xi0, x, y0)
     if not theta0 > 0.0:
         raise StrongImplicitnessFailure(
@@ -473,7 +472,7 @@ def radius_search(f, op, lam, x, spec: StronglyImplicitSpec, probes=64, halving_
             return False
         return result
 
-    r = 1.0 + float(np.linalg.norm(x))
+    r = 1.0 + residual_norm(x)
     level = 0
     while level < halving_depth:
         radii = [r]

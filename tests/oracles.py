@@ -79,7 +79,7 @@ def radius_search_scalar(f, op, lam, x, spec, probes=64, halving_depth=40,
     from proxlab.resolvent import _protoresolvent, _solve, _verify
 
     gx = f.gradient(x)
-    y0 = _protoresolvent(f, op, lam, gx)
+    y0 = _protoresolvent(f, op, lam, gx)[0]
     xi0 = -(f.gradient(y0) - gx) / lam
     zero = np.zeros(f.dim)
     theta0 = spec.psi(zero, xi0, x, y0) - spec.phi(zero, xi0, x, y0)

@@ -1,11 +1,15 @@
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
 from proxlab import cli
-from proxlab.errors import ConfigError
+from proxlab.errors import ConfigError, NoStrategy
+from proxlab.legendre import parse_legendre
+from proxlab.operators import parse_operator
+from proxlab.resolvent import _route
 
 
 def run_cli(capsys, *argv):
@@ -263,6 +267,28 @@ def test_run_solver_failure_preserves_partial_trace(tmp_path, capsys):
     sidecar = json.loads((tmp_path / "fail.csv.json").read_text())
     assert sidecar["summary"]["termination_reason"] == "solver failure"
     assert "no solver strategy" in sidecar["summary"]["error"]
+
+
+def test_dense_specs_of_a_failed_run_reproduce_its_error(tmp_path, capsys):
+    # pls with a random SPD metric and abs: its metric's f has no strategy with abs
+    cfg = {"space_dim": 2, "scheme": "pls", "x0": [1.0, -2.0], "operator": "abs:w=1",
+           "scheme_params": {"metric": {"kind": "random_spd", "eig_min": 0.5, "eig_max": 2.0}},
+           "stop": {"max_iters": 20, "zero_detect": 1e-8}, "seed": 3,
+           "output_path": str(tmp_path / "pls.csv")}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    code, _, _ = run_cli(capsys, "run", str(path))
+    assert code == 2
+    assert (tmp_path / "pls.csv").read_text() == ("n,x0,x1,eta_norm,step_param,zero_residual,notes\n"
+                                                  "0,1.0,-2.0,0.0,0.0,1.4142135623730951,init\n")
+    error = json.loads((tmp_path / "pls.csv.json").read_text())["summary"]["error"]
+    f_spec, op_spec = re.fullmatch(r"no solver strategy for f=(\S+) with A=(\S+) in dim 2", error).groups()
+    assert f_spec.startswith("quadratic:m=")
+    with pytest.raises(NoStrategy) as exc:
+        _route(parse_legendre(f_spec, 2), parse_operator(op_spec, 2), 1.0)
+    assert str(exc.value) == error
+    code, _, err = run_cli(capsys, "prox", "--f", f_spec, "--op", op_spec, "--x", "1,-2")
+    assert code == 2 and err == f"solver error: {error}\n"
 
 
 def test_run_rs_config(tmp_path, capsys):

@@ -1,11 +1,19 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import proxlab
 from proxlab import checks
+from proxlab.algorithms import ss_step
 from proxlab.errors import DimensionMismatch, NotSpd
+from proxlab.legendre import euclidean
+from proxlab.operators import SubdiffAbs
+from proxlab.resolvent import (InclusionInstance, protoresolvent, radius_search, solve_inclusion,
+                               ss_form, verify_solution)
 from oracles import halton_points_scalar, spd_inv_norm_dense, spd_solve_dense
 from proxlab.numerics import (SpdMetric, as_vector, halton_points, pairing, random_spd_matrix,
                               residual_norm, row_dot, row_norm)
@@ -199,3 +207,39 @@ def test_row_norm_extreme_rows_match_hypot(dim):
     assert norms[big].tobytes() == np.array([np.linalg.norm(r) for r in rows[big]]).tobytes()
     # residual_norm keeps them on every row
     np.testing.assert_array_equal(residual_norm(rows), [np.linalg.norm(r) for r in rows])
+
+
+def test_only_numerics_reduces_vectors():
+    # every norm and pairing goes through numerics (reference.py is the
+    # independent oracle), so a change of kernel is a change to numerics alone
+    direct = re.compile(r"\b(np|numpy)\.(dot|linalg\.norm)\b|\.dot\(")
+    src = Path(proxlab.__file__).parent
+    hits = [f"{path.name}:{n}: {line.strip()}"
+            for path in sorted(src.glob("*.py")) if path.name not in ("numerics.py", "reference.py")
+            for n, line in enumerate(path.read_text().splitlines(), 1) if direct.search(line)]
+    assert hits == []
+
+
+def _outputs(x, eta):
+    """The bits of every public entry point that reduces its input vectors."""
+    dim = x.shape[0]
+    f, op = euclidean(dim), SubdiffAbs(0.5, np.linspace(-1.0, 1.0, dim))
+    inst = InclusionInstance(f=f, op=op, lam=0.7, x=x, eta=eta)
+    sol = solve_inclusion(inst)
+    step = ss_step(op, 1.5, 0.5, x, 0.01 * eta)
+    return (as_vector(x).tobytes(), protoresolvent(f, op, 0.7, x).tobytes(), sol.y.tobytes(),
+            sol.xi.tobytes(), repr(verify_solution(inst, sol.y, sol.xi)),
+            repr(radius_search(f, op, 0.7, x, ss_form(0.5, 1.0 / 0.7), probes=4)),
+            step.status, step.y.tobytes(), step.xi.tobytes(), repr(step.x_next))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 64])
+def test_column_views_keep_the_bits_of_their_copies(dim):
+    # np.dot of a strided view takes BLAS's strided kernel, which may round
+    # apart from the contiguous one: as_vector hands on contiguous copies
+    big = np.random.default_rng([17, dim]).uniform(-3.0, 3.0, size=(dim, 6))
+    for j in range(0, 6, 2):
+        x, eta = big[:, j], big[:, j + 1]
+        assert not x.flags.c_contiguous or dim == 1
+        assert as_vector(x).flags.c_contiguous
+        assert _outputs(x, eta) == _outputs(x.copy(), eta.copy())

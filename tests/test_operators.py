@@ -3,10 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import coord_box, coord_kinks, coord_value_box, enlargement_residual_scalar
-from test_routing import SHAPES
+from test_routing import F_KINDS, SHAPES, _f
 from proxlab import checks
 from proxlab.errors import DimensionMismatch, EmptyOperatorValue
-from proxlab.legendre import euclidean
+from proxlab.legendre import euclidean, parse_legendre
 from proxlab.numerics import random_spd_matrix
 from proxlab.operators import (Affine, GradientOfConvex, NormalConeBox, OperatorSum,
                                Scaled, SubdiffAbs, enlargement_residual, identity_op,
@@ -171,15 +171,37 @@ def _same_parts(a, b):
 
 
 def test_spec_strings_reparse():
-    # dense matrices print a placeholder, and the '|' grammar cannot nest a sum in a sum
+    # the '|' grammar cannot nest a sum in a sum
     shapes = [(name, build) for name, (build, _, leaves) in sorted(SHAPES.items())
-              if leaves and "affine_dense" not in leaves and name.count("sum(") < 2]
+              if leaves and name.count("sum(") < 2]
+    rows = np.random.default_rng(0).uniform(-2.0, 2.0, size=(5, 8))
     for dim in (1, 2, 8):
         for name, build in shapes:
             op = build(dim)
             clone = parse_operator(op.spec_string(), dim)
             assert clone.spec_string() == op.spec_string(), name
             _same_parts(clone, op)
+        for kind in F_KINDS:
+            f = _f(kind, dim)
+            clone = parse_legendre(f.spec_string(), dim)
+            assert type(clone) is type(f) and clone.spec_string() == f.spec_string(), kind
+            assert clone.gradient(rows[:, :dim]).tobytes() == f.gradient(rows[:, :dim]).tobytes(), kind
+            if hasattr(f, "metric"):  # a symmetric matrix keeps its bits through 0.5 (M + M^T)
+                assert clone.metric.matrix.tobytes() == f.metric.matrix.tobytes(), kind
+
+
+def test_dense_spec_needs_d_squared_entries():
+    op = parse_operator("affine:m=2,1,1,2,b=1,0", 2)
+    assert np.array_equal(op.matrix, [[2.0, 1.0], [1.0, 2.0]]) and np.array_equal(op.offset, [1.0, 0.0])
+    f = parse_legendre("quadratic:m=2,1,1,2", 2)
+    assert np.array_equal(f.metric.matrix, [[2.0, 1.0], [1.0, 2.0]])
+    for parse, spec in ((parse_operator, "affine:m=2,1,1,b=0"), (parse_legendre, "quadratic:m=2,1,1,2,0")):
+        with pytest.raises(ValueError, match="it needs 4"):
+            parse(spec, 2)
+    for parse, spec in ((parse_operator, "affine:diag=1,m=1,b=0"), (parse_legendre, "quadratic:diag=1,m=1"),
+                        (parse_legendre, "quadratic:b=1")):
+        with pytest.raises(ValueError, match="needs diag=... or m=..., not both"):
+            parse(spec, 1)
 
 
 def test_nested_sum_spec_is_refused():

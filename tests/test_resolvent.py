@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -124,6 +126,31 @@ def test_solve_inclusion_examples():
     inst = InclusionInstance(f=f, op=abs1, lam=1.0, x=np.array([2.0]), eta=np.array([0.25]))
     sol = solve_inclusion(inst)
     assert sol.y[0] == pytest.approx(1.25) and sol.xi[0] == pytest.approx(1.0)
+
+
+class _CountingCosh(CoshSum):
+    """CoshSum that records each point its gradient is taken at."""
+
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.points = []
+
+    def gradient(self, x):
+        self.points.append(np.array(x))
+        return super().gradient(x)
+
+
+def test_solve_inclusion_takes_grad_f_once_at_x_and_once_at_y():
+    # the box's closed form takes no gradient, so the two calls are the
+    # instance's grad f(x) and the certificate's grad f(y), which xi reuses
+    f = _CountingCosh(3)
+    inst = InclusionInstance(f=f, op=NormalConeBox(-1.0, 1.0, 3), lam=0.8,
+                             x=np.array([0.5, -2.0, 1.5]), eta=np.array([1.0, 0.0, -3.0]))
+    f.points.clear()
+    sol = solve_inclusion(inst)
+    assert [p.tobytes() for p in f.points] == [inst.x.tobytes(), sol.y.tobytes()]
+    assert sol.xi.tobytes() == (inst.eta - (np.sinh(sol.y) - np.sinh(inst.x)) / inst.lam).tobytes()
+    assert [field.name for field in dataclasses.fields(sol)] == ["y", "xi"]
 
 
 def test_verify_solution_reports():
