@@ -18,6 +18,31 @@ def grid_argmin_1d(objective, lo=-8.0, hi=8.0, points=4001, rounds=6):
     return 0.5 * (lo + hi)
 
 
+def grid_brute_force(f, op, lam, w, rounds=8):
+    """reference.brute_force_protoresolvent as first written: each round lays
+    its grid out with np.linspace, np.meshgrid and np.stack.  A round without a
+    finite point raises EmptyOperatorValue naming the round."""
+    from proxlab.errors import EmptyOperatorValue
+    from proxlab.reference import legendre_value, operator_potential
+    w = np.asarray(w, dtype=float)
+    dim = f.dim
+    center = np.zeros(dim)
+    half = 4.0 + 4.0 * float(np.linalg.norm(w))
+    per_axis = max(9, int(round(81 ** (1.0 / dim))))
+    for r in range(rounds):
+        axes = np.linspace(center - half, center + half, per_axis)
+        rows = np.stack(np.meshgrid(*axes.T, indexing="ij"), axis=-1).reshape(-1, dim)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = legendre_value(f, rows) + lam * operator_potential(op, rows) - rows @ w
+        vals[np.isnan(vals)] = np.inf
+        k = int(np.argmin(vals))
+        if vals[k] == np.inf:
+            raise EmptyOperatorValue(f"round {r}")
+        half *= 4.0 / (per_axis - 1)
+        center = rows[k].copy()
+    return center
+
+
 def bisect_increasing(g, lo, hi, iters=200):
     """Root of a (strictly) increasing scalar function by plain bisection."""
     for _ in range(iters):
